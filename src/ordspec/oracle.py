@@ -3,8 +3,10 @@
 Everything the closed-form side claims about spectra can be cross-checked
 here at small parameters: build standard generators, close them under
 multiplication (breadth-first, with elements deduplicated by a packed
-integer key), read off element orders modulo the computed centre, and
-compare against the formulas.
+integer key), compute the centre as the group's intersection with the
+generators' commutant algebra (a linear system over GF(q)), read off
+element orders modulo that centre by walking each cyclic subgroup once,
+and compare against the formulas.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
@@ -297,25 +299,14 @@ class MatrixGF:
         if self.twist:
             raise DomainError("inverse of twisted elements not needed")
         f, d = self.field, self.dim
-        aug = [list(row) + [1 if i == j else 0 for j in range(d)]
-               for i, row in enumerate(self.rows)]
-        for col in range(d):
-            pivot = next(
-                (r for r in range(col, d) if aug[r][col] != 0), None
-            )
-            if pivot is None:
-                raise DomainError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = f.inv(aug[col][col])
-            aug[col] = [f.mul(inv_p, e) for e in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != 0:
-                    c = aug[r][col]
-                    aug[r] = [
-                        f.add(e, f.neg(f.mul(c, pe)))
-                        for e, pe in zip(aug[r], aug[col])
-                    ]
-        return MatrixGF(f, tuple(tuple(row[d:]) for row in aug))
+        # reducing [A | I] leaves [I | A^-1] exactly when A is invertible
+        pivots = _reduced_echelon(f, (
+            list(row) + [1 if i == j else 0 for j in range(d)]
+            for i, row in enumerate(self.rows)
+        ))
+        if any(col not in pivots for col in range(d)):
+            raise DomainError("matrix is singular")
+        return MatrixGF(f, tuple(tuple(pivots[i][d:]) for i in range(d)))
 
     def order(self) -> int:
         """Multiplicative order; twisted elements supported."""
@@ -361,6 +352,32 @@ def _dot(f: Field, a, b) -> int:
         if x and y:
             acc = f.add(acc, f.mul(x, y))
     return acc
+
+
+def _sub_multiple(f: Field, row, c: int, other) -> list:
+    """row - c * other, entrywise: the elementary row operation."""
+    neg_c = f.neg(c)
+    return [f.add(x, f.mul(neg_c, y)) for x, y in zip(row, other)]
+
+
+def _reduced_echelon(f: Field, rows) -> dict[int, list]:
+    """Reduced row echelon form of the rows, taken one at a time, as a map
+    pivot column -> row with 1 there and 0 at every other pivot column."""
+    pivots: dict[int, list] = {}
+    for row in rows:
+        for col, prow in pivots.items():
+            if row[col]:
+                row = _sub_multiple(f, row, row[col], prow)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = f.inv(row[lead])
+        row = [f.mul(inv, x) for x in row]
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = _sub_multiple(f, prow, prow[lead], row)
+        pivots[lead] = row
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +553,6 @@ class ClosedGroup:
         for key in self.keys:
             yield MatrixGF(self.field, eng.unpack(eng.state_from_key(key)))
 
-    def generator_hash(self) -> str:
-        h = hashlib.sha256()
-        for g in self.generators:
-            h.update(g.key())
-        return h.hexdigest()[:12]
-
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
     """Breadth-first closure of the generated group.
@@ -582,35 +593,66 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
     return ClosedGroup(fld, dim, eng, keys, key_set, gens)
 
 
+def _commutant_basis(generators) -> list[list[int]]:
+    """A basis of the matrices X with XA = AX for every generator A, each
+    as a row-major vector of length dim^2: the nullspace of the dim^2
+    linear equations (XA - AX)[i][j] = 0 per generator, read off the free
+    columns of their reduced echelon form."""
+    f, d = generators[0].field, generators[0].dim
+    n = d * d
+
+    def equations():
+        for g in generators:
+            a = g.rows
+            for i in range(d):
+                for j in range(d):
+                    # (XA - AX)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
+                    row = [0] * n
+                    for k in range(d):
+                        row[i * d + k] = f.add(row[i * d + k], a[k][j])
+                        row[k * d + j] = f.add(row[k * d + j], f.neg(a[i][k]))
+                    yield row
+
+    pivots = _reduced_echelon(f, equations())
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            vec = [0] * n
+            vec[free] = 1
+            for col, prow in pivots.items():
+                vec[col] = f.neg(prow[free])
+            basis.append(vec)
+    return basis
+
+
 def centre_of(group: ClosedGroup) -> list[MatrixGF]:
-    """All elements commuting with every generator.  For a closed group this
-    is exactly the centre (computed, never assumed)."""
-    eng = group.engine
-    gen_states = [eng.pack(g.rows) for g in group.generators]
-    gen_pres = [eng.precompute(s) for s in gen_states]
-    gen_t_pres = [
-        eng.precompute(eng.pack(g.transpose().rows)) for g in group.generators
-    ]
+    """The centre of a closed group, computed (never assumed) as its
+    intersection with the commutant algebra of the generators.
 
-    def transpose_state(state):
-        rows = eng.unpack(state)
-        return eng.pack(tuple(zip(*rows)))
-
-    # z commutes with g  iff  z*g == (z^T right-multiplied by g^T)^T
-    survivors = group.keys
-    for pre, pre_t in zip(gen_pres, gen_t_pres):
-        nxt = []
-        for key in survivors:
-            state = eng.state_from_key(key)
-            zg = eng.mul(state, pre)
-            gz = transpose_state(eng.mul(transpose_state(state), pre_t))
-            if zg == gz:
-                nxt.append(key)
-        survivors = nxt
-    return [
-        MatrixGF(group.field, eng.unpack(eng.state_from_key(k)))
-        for k in survivors
-    ]
+    The commutant is the solution space of XA = AX over all generators A,
+    found by linear algebra; its q^k members are enumerated and those in
+    the group's key set kept, in the order of their coordinates on the
+    basis.  For absolutely irreducible groups k = 1, so this touches q
+    matrices.  Raises ResourceError when q^k exceeds DEFAULT_CAP."""
+    f, d, eng = group.field, group.dim, group.engine
+    basis = _commutant_basis(group.generators)
+    size = f.q ** len(basis)
+    if size > DEFAULT_CAP:
+        raise ResourceError(
+            f"commutant has {size} elements, over the cap of {DEFAULT_CAP}"
+        )
+    out = []
+    for code in range(size):
+        vec = [0] * (d * d)
+        rest = code
+        for b in basis:
+            rest, c = divmod(rest, f.q)
+            if c:
+                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, b)]
+        rows = tuple(tuple(vec[i * d : (i + 1) * d]) for i in range(d))
+        if eng.key(eng.pack(rows)) in group.key_set:
+            out.append(MatrixGF(f, rows))
+    return out
 
 
 def _validated_centre_keys(eng, generators, centre) -> set:
@@ -649,23 +691,38 @@ def _centre_keys(group: ClosedGroup, centre) -> set:
 
 def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     """The set of element orders of group/centre, as a reduced generator
-    list.  With centre None this is the plain order spectrum."""
+    list.  With centre None this is the plain order spectrum.
+
+    Each cyclic subgroup is walked once: take an element g still to do and
+    step through g, g^2, ... until g^n lies in the centre.  Then g^j has
+    order n / gcd(j, n) modulo the centre for every j < n, so every power
+    still to do is recorded and struck off, at the cost of one precompute
+    per walk rather than one per element."""
+    from math import gcd
+
     eng = group.engine
     centre_keys = _centre_keys(group, centre)
+    todo = group.key_set - centre_keys
     seen: set[int] = set()
-    for key in group.keys:
-        if key in centre_keys:
-            continue
+    while todo:
+        key = todo.pop()
         state = eng.state_from_key(key)
         pre = eng.precompute(state)
-        acc = state
-        order = 1
-        while eng.key(acc) not in centre_keys:
+        acc, powers = state, [key]
+        while True:
             acc = eng.mul(acc, pre)
-            order += 1
-            if order > len(group.keys):
+            acc_key = eng.key(acc)
+            if acc_key in centre_keys:
+                break
+            powers.append(acc_key)
+            if len(powers) >= len(group.keys):
                 raise AssertionError("internal: order exceeds group size")
-        seen.add(order)
+        n = len(powers) + 1
+        seen.add(n)
+        for j in range(2, n):
+            if powers[j - 1] in todo:
+                todo.remove(powers[j - 1])
+                seen.add(n // gcd(j, n))
     if not seen:
         seen.add(1)
     label = f"enumerated[{len(group.keys)}]"
@@ -734,10 +791,7 @@ def _det(mat: MatrixGF) -> int:
         for r in range(col + 1, d):
             if rows[r][col]:
                 c = f.mul(inv_p, rows[r][col])
-                rows[r] = [
-                    f.add(e, f.neg(f.mul(c, pe)))
-                    for e, pe in zip(rows[r], rows[col])
-                ]
+                rows[r] = _sub_multiple(f, rows[r], c, rows[col])
     return det
 
 
@@ -1027,7 +1081,7 @@ def enumerate_group(
     """Close the standard generators, compute the centre, and return
     (group order, centre size, coset-order spectrum).  Results are cached
     on disk keyed by the generator set when a cache directory is available
-    (argument or ORDSPEC_CACHE_DIR)."""
+    (argument or ORDSPEC_CACHE_DIR); entries are written atomically."""
     gens = standard_generators(family, dim, q)
     h = hashlib.sha256()
     for g in gens:
@@ -1053,12 +1107,22 @@ def enumerate_group(
     centre = centre_of(group)
     spec = element_orders(group, centre if len(centre) > 1 else None)
     if cache_path:
+        import tempfile
+
         os.makedirs(cache_dir, exist_ok=True)
         obj = {
             "group_order": str(len(group)),
             "centre_size": len(centre),
             "spectrum": json.loads(spectra.serialize(spec)),
         }
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        # write a temporary file beside the entry and rename it into place,
+        # so an interrupted write never leaves a truncated entry behind
+        fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+            os.replace(tmp_path, cache_path)
+        finally:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
     return len(group), len(centre), spec

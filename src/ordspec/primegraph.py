@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import arith, spectra
 from .errors import DomainError, UnsupportedError, UsageError
@@ -77,6 +77,7 @@ class PrimeGraph:
     part: str
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    edge_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if list(self.vertices) != sorted(set(self.vertices)):
@@ -84,6 +85,7 @@ class PrimeGraph:
         for r, s in self.edges:
             if r >= s or r not in self.vertices or s not in self.vertices:
                 raise DomainError(f"bad edge ({r}, {s})")
+        object.__setattr__(self, "edge_set", frozenset(self.edges))
 
     def has_vertex(self, r: int) -> bool:
         return r in self.vertices
@@ -94,10 +96,7 @@ class PrimeGraph:
                 raise DomainError(f"{v} is not a vertex of {self.label}")
         if r == s:
             return False
-        return (min(r, s), max(r, s)) in self._edge_set()
-
-    def _edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+        return (min(r, s), max(r, s)) in self.edge_set
 
 
 def graph_from_spectrum(spec: SpectrumGens, vertices) -> PrimeGraph:
@@ -139,11 +138,10 @@ def find_cocliques(graph: PrimeGraph, size: int) -> list[tuple[int, ...]]:
     """All cocliques of exactly the given size, lexicographically sorted."""
     if size < 1:
         raise DomainError(f"coclique size must be positive, got {size}")
-    edge_set = frozenset(graph.edges)
     out = []
     for combo in itertools.combinations(graph.vertices, size):
         if all(
-            (r, s) not in edge_set
+            (r, s) not in graph.edge_set
             for r, s in itertools.combinations(combo, 2)
         ):
             out.append(combo)
@@ -155,12 +153,6 @@ def neighbourhood(graph: PrimeGraph, r: int) -> tuple[int, ...]:
     if not graph.has_vertex(r):
         raise DomainError(f"{r} is not a vertex of {graph.label}")
     return tuple(s for s in graph.vertices if s != r and graph.adjacent(r, s))
-
-
-def outer_prime_candidates(group: GroupId) -> frozenset[int]:
-    """A superset of the primes dividing the outer automorphism group order:
-    {2, 3} and the primes dividing the field exponent m."""
-    return frozenset({2, 3} | set(arith.prime_divisors(group.m) if group.m > 1 else ()))
 
 
 def export_graph(graph: PrimeGraph) -> str:

@@ -734,10 +734,12 @@ def run_suite(config: dict) -> list[CheckReport]:
                     int(entry["value"]), bool(entry["expected"]),
                     entry.get("part", FULL),
                 )
-        except OrdspecError as exc:
+        except Exception as exc:  # noqa: BLE001 - a faulty check is a FAIL
+            # anticipated errors keep their message; anything else is named
+            what = "" if isinstance(exc, OrdspecError) else f" {type(exc).__name__}"
             rep = CheckReport(
                 f"{kind}[{i}]", dict(entry),
-                (Claim(f"check raised: {exc}", FAIL, (0,)),),
+                (Claim(f"check raised{what}: {exc}", FAIL, (0,)),),
             )
         reports.append(rep)
     return reports

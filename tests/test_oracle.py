@@ -3,8 +3,11 @@ spectrum oracles.
 
 Independent references used here: symmetric-group element orders via
 itertools.permutations (Sp4(2) is isomorphic to S6), an exhaustive filter
-over all 4x4 GF(2) matrices (GO4+(2)), and the exceptional isomorphism
-PSU4(2) = PSp4(3) as a cross-check between two unrelated generator sets.
+over all 4x4 GF(2) matrices (GO4+(2)), the exceptional isomorphism
+PSU4(2) = PSp4(3) as a cross-check between two unrelated generator sets,
+and per-element brute force for the centre (every element tested against
+every generator) and for element orders (every element powered until it
+lands in the centre).
 """
 
 from __future__ import annotations
@@ -279,3 +282,114 @@ def test_enumerate_group_cache_round_trip(tmp_path) -> None:
 def test_centre_of_go4plus_trivial() -> None:
     group = oracle.close_group(oracle.standard_generators("GOplus", 4, 2))
     assert len(oracle.centre_of(group)) == 1
+
+
+def _brute_force_orders(group, centre) -> set[int]:
+    """Order modulo the centre of every element, one power walk each."""
+    centre_keys = {z.key() for z in centre}
+    orders = set()
+    for mat in group.elements():
+        acc, order = mat, 1
+        while acc.key() not in centre_keys:
+            acc, order = acc * mat, order + 1
+        orders.add(order)
+    return orders
+
+
+def _brute_force_centre(group) -> set[bytes]:
+    return {
+        m.key()
+        for m in group.elements()
+        if all(m * g == g * m for g in group.generators)
+    }
+
+
+def _sl2_5() -> oracle.ClosedGroup:
+    fld = oracle.field_of_order(5)
+    return oracle.close_group([
+        oracle.MatrixGF(fld, ((1, 1), (0, 1))),
+        oracle.MatrixGF(fld, ((0, 4), (1, 0))),
+    ])
+
+
+def _gl2_2_in_gl4_2() -> oracle.ClosedGroup:
+    """GL2(2) embedded block-diagonally as diag(M, I2): reducible, with a
+    five-dimensional commutant (scalars on the first block, anything on
+    the second)."""
+    fld = oracle.field_of_order(2)
+
+    def embed(m):
+        (a, b), (c, d) = m
+        return oracle.MatrixGF(
+            fld, ((a, b, 0, 0), (c, d, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        )
+
+    return oracle.close_group([embed(((1, 1), (0, 1))), embed(((0, 1), (1, 0)))])
+
+
+def test_element_orders_match_brute_force_walk() -> None:
+    for family in ("GOplus", "Sp"):
+        group = oracle.close_group(oracle.standard_generators(family, 4, 2))
+        ident = [oracle.MatrixGF.identity(group.field, 4)]
+        want = spectra.reduce_gens(_brute_force_orders(group, ident))
+        assert oracle.element_orders(group).gens == want.gens, family
+    group = _sl2_5()
+    assert len(group) == 120
+    centre = oracle.centre_of(group)
+    want = spectra.reduce_gens(_brute_force_orders(group, centre))
+    got = oracle.element_orders(group, centre)
+    assert got.gens == want.gens == (2, 3, 5)
+    ident = [oracle.MatrixGF.identity(group.field, 2)]
+    plain = spectra.reduce_gens(_brute_force_orders(group, ident))
+    assert oracle.element_orders(group).gens == plain.gens == (4, 6, 10)
+
+
+def test_centre_of_matches_brute_force_filter() -> None:
+    group = _sl2_5()
+    centre = oracle.centre_of(group)
+    assert {z.key() for z in centre} == _brute_force_centre(group)
+    assert centre == [
+        oracle.MatrixGF(group.field, ((1, 0), (0, 1))),
+        oracle.MatrixGF(group.field, ((4, 0), (0, 4))),
+    ]
+    assert oracle.centre_of(group) == centre
+    group = _gl2_2_in_gl4_2()
+    assert len(group) == 6
+    assert len(oracle._commutant_basis(group.generators)) == 5
+    centre = oracle.centre_of(group)
+    assert {z.key() for z in centre} == _brute_force_centre(group)
+    assert len(centre) == 1 and centre[0].is_identity()
+
+
+def test_centre_of_caps_the_commutant(monkeypatch) -> None:
+    group = _gl2_2_in_gl4_2()
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 2**5 - 1)
+    with pytest.raises(ResourceError):
+        oracle.centre_of(group)
+
+
+def test_enumerate_group_cache_write_is_atomic(tmp_path, monkeypatch) -> None:
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"group_order":')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(oracle.json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+
+    closures = []
+    close_group = oracle.close_group
+
+    def counting_close_group(*args, **kwargs):
+        closures.append(1)
+        return close_group(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "close_group", counting_close_group)
+    order, centre_size, spec = oracle.enumerate_group(
+        "GOplus", 4, 2, cache_dir=str(tmp_path)
+    )
+    assert closures == [1]
+    assert (order, centre_size, spec.gens) == (72, 1, (4, 6))
+    assert [f.suffix for f in tmp_path.iterdir()] == [".json"]

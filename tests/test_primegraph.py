@@ -120,9 +120,18 @@ def test_export_parse_round_trip() -> None:
         primegraph.parse_graph("{")
 
 
-def test_outer_prime_candidates() -> None:
-    assert primegraph.outer_prime_candidates(spectra.group_id(SP, 3, 3)) == {2, 3}
-    assert primegraph.outer_prime_candidates(spectra.group_id(SP, 3, 32)) == {2, 3, 5}
+def test_edge_set_is_derived_state() -> None:
+    graph = primegraph.build_graph(spectra.group_id(SP, 2, 3))
+    twin = primegraph.PrimeGraph(
+        graph.label, graph.part, graph.vertices, graph.edges
+    )
+    assert graph.edge_set == frozenset(graph.edges)
+    assert twin == graph and hash(twin) == hash(graph)
+    assert "edge_set" not in repr(graph)
+    assert "edge_set" not in primegraph.export_graph(graph)
+    assert twin != primegraph.PrimeGraph(
+        graph.label, graph.part, graph.vertices, ()
+    )
 
 
 def test_isolated_vertex_forces_disconnected_graph() -> None:

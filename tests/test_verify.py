@@ -210,6 +210,30 @@ def test_run_suite_turns_raises_into_failed_reports() -> None:
     assert not verify.suite_passed(reports)
 
 
+def test_run_suite_reports_unexpected_exceptions(monkeypatch) -> None:
+    def broken(q):
+        raise AssertionError("internal: broken check")
+
+    monkeypatch.setattr(verify, "check_go8_equality", broken)
+    reports = verify.run_suite({"checks": [
+        {"kind": "diff", "item": "i", "n": 3, "q": 3},
+        {"kind": "go8", "q": 3},
+        {"kind": "diff", "item": "v", "n": 2, "q": 3},
+    ]})
+    assert len(reports) == 3
+    assert reports[0].passed and reports[2].passed
+    assert not reports[1].passed
+    assert reports[1].check_id == "go8[1]"
+    assert "AssertionError" in reports[1].claims[0].statement
+
+    def interrupted(q):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "check_go8_equality", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suite({"checks": [{"kind": "go8", "q": 3}]})
+
+
 def test_default_config_runs_clean() -> None:
     reports = verify.run_suite(verify.default_config())
     assert len(reports) > 150
