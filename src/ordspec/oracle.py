@@ -10,18 +10,22 @@ and compare against the formulas.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
-operations are table lookups.  Matrices over fields of characteristic 2
-additionally get a fast path where a whole row is one int and row addition
-is XOR.
+operations are table lookups.  MatrixGF is the plain reference arithmetic;
+closure, centre, element orders and sampling run on one engine for every
+field, in which a whole matrix is one int holding the base-p digits of its
+entries, a row is added by XOR (p = 2) or a digit-wise add with one masked
+reduction (odd p), and a product is a few table lookups per row.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import random
 from functools import lru_cache
+from itertools import repeat
 
 from . import spectra
 from .errors import DomainError, ResourceError, UsageError
@@ -39,23 +43,12 @@ _ORDER_BOUND = 10_000_000
 def _poly_mulmod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
     """Multiply two coefficient tuples (ascending degree) modulo the monic
     polynomial mod, all over GF(p)."""
-    deg_m = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    # reduce
-    for i in range(len(out) - 1, deg_m - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(deg_m):
-                out[i - deg_m + j] = (out[i - deg_m + j] - c * mod[j]) % p
-    out = out[:deg_m]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _poly_mod(out, mod, p)
 
 
 def _monic_polys(p: int, deg: int):
@@ -381,150 +374,139 @@ def _reduced_echelon(f: Field, rows) -> dict[int, list]:
 
 
 # ---------------------------------------------------------------------------
-# closure engines
+# the closure engine
 
-# Engines work on compact states: for characteristic 2 a state is a tuple of
-# row ints (w bits per entry, row addition is XOR); otherwise a flat tuple of
-# entry codes.  Both support right multiplication by a precomputed matrix.
-# Over characteristic 2 the map row -> row * B is linear over GF(2) in the
-# packed bits, so for narrow rows one table indexed by the whole packed row
-# turns a matrix product into dim list lookups.
+# A matrix is one int, row i at bits i * row_bits.  Each entry's code is
+# written as its base-p digits, one per b-bit field: b = 1 for p = 2, where
+# row addition is XOR; for odd p each field has a guard bit, so adding two
+# rows digit by digit never carries into the next digit and one masked
+# subtraction brings every digit back below p.  The map row -> row * B is
+# GF(p)-linear in the digits of the row, so a product is read off one lookup
+# table per slice of consecutive digit fields (the method of Four Russians).
+# Slices follow digit fields rather than whole entries, so a table's size
+# does not grow with the field's degree: at most 2^_SLICE_BITS entries, or
+# 2^b when one digit field alone is wider (p > 127).
 
-_FULL_TABLE_BITS = 10
+_SLICE_BITS = 8
 
 
-class _EngineChar2:
+class _Engine:
+    """Packed-int arithmetic for the dim x dim matrices over one field:
+    encode/decode convert between rows of codes and keys, tables(B) readies
+    right multiplication by B, and mul(A, tables(B)) is the key of A * B."""
+
     def __init__(self, fld: Field, dim: int):
-        self.field, self.dim = fld, dim
-        self.w = fld.m
-        self.mask = (1 << self.w) - 1
-        self.row_bits = self.w * dim
-        self.full_tables = self.row_bits <= _FULL_TABLE_BITS
-        self.identity = self.pack(MatrixGF.identity(fld, dim).rows)
-
-    def pack(self, rows) -> tuple:
-        w = self.w
-        out = []
-        for row in rows:
-            acc = 0
-            for j, e in enumerate(row):
-                acc |= e << (w * j)
-            out.append(acc)
-        return tuple(out)
-
-    def unpack(self, state) -> tuple:
-        w, mask, d = self.w, self.mask, self.dim
-        return tuple(
-            tuple((r >> (w * j)) & mask for j in range(d)) for r in state
-        )
-
-    def key(self, state) -> int:
-        acc = 0
-        for i, r in enumerate(state):
-            acc |= r << (self.row_bits * i)
-        return acc
-
-    def state_from_key(self, key: int) -> tuple:
-        rmask = (1 << self.row_bits) - 1
-        return tuple(
-            (key >> (self.row_bits * i)) & rmask for i in range(self.dim)
-        )
-
-    def _bit_contribs(self, state) -> list:
-        """Packed row of (unit row with bit b set) * B, for each bit b."""
-        f, w, d = self.field, self.w, self.dim
-        rows = self.unpack(state)
-        contribs = []
-        for b in range(self.row_bits):
-            k, t = divmod(b, w)
-            c = 1 << t
-            acc = 0
-            for j, e in enumerate(rows[k]):
-                acc |= f.mul(c, e) << (w * j)
-            contribs.append(acc)
-        return contribs
-
-    def precompute(self, state):
-        contribs = self._bit_contribs(state)
-        if not self.full_tables:
-            return contribs
-        full = [0] * (1 << self.row_bits)
-        for v in range(1, len(full)):
-            low = v & -v
-            full[v] = full[v ^ low] ^ contribs[low.bit_length() - 1]
-        return full
-
-    def mul(self, state, pre) -> tuple:
-        if self.full_tables:
-            return tuple(pre[r] for r in state)
-        out = []
-        for r in state:
-            acc = 0
-            v = r
-            while v:
-                low = v & -v
-                acc ^= pre[low.bit_length() - 1]
-                v ^= low
-            out.append(acc)
-        return tuple(out)
-
-
-class _EngineGeneric:
-    def __init__(self, fld: Field, dim: int):
-        self.field, self.dim = fld, dim
-        self.w = max(1, (fld.q - 1).bit_length())
-        q = fld.q
-        self.add_table = [
-            [fld.add(a, b) for b in range(q)] for a in range(q)
+        p, m = fld.p, fld.m
+        b = 1 if p == 2 else p.bit_length() + 1
+        self.p, self.b = p, b
+        entry_bits = b * m
+        row_bits = entry_bits * dim
+        self.entry_mask = (1 << entry_bits) - 1
+        self.row_mask = (1 << row_bits) - 1
+        self.row_shifts = range(0, dim * row_bits, row_bits)
+        self.entry_shifts = range(0, row_bits, entry_bits)
+        self.digits = [self._spread(c, m) for c in range(fld.q)]
+        self.code_of = {packed: c for c, packed in enumerate(self.digits)}
+        # scale[t - 1]: packed entry -> packed entry times x^t (code p^t)
+        self.scale = [
+            {self.digits[c]: self.digits[fld.mul(p**t, c)] for c in range(fld.q)}
+            for t in range(1, m)
         ]
-        self.identity = self.pack(MatrixGF.identity(fld, dim).rows)
+        # per slice of a row: its first and end field, index mask, (source,
+        # target) shift of each row, and the layout that spreads a table
+        # indexed by base-p digit values over b-bit fields (None for p = 2,
+        # where the two agree)
+        fields, per_slice = dim * m, max(1, _SLICE_BITS // b)
+        self.slices = []
+        for first in range(0, fields, per_slice):
+            n = min(per_slice, fields - first)
+            layout = None
+            if p != 2:
+                layout = [0] * (1 << (n * b))
+                for index in range(p**n):
+                    layout[self._spread(index, n)] = index
+            places = [(rs + first * b, rs) for rs in self.row_shifts]
+            self.slices.append(
+                (first, first + n, (1 << (n * b)) - 1, places, layout)
+            )
+        if p == 2:
+            self.add = operator.xor
+        else:
+            unit = sum(1 << (b * i) for i in range(dim * fields))
+            bias = ((1 << (b - 1)) - p) * unit
+            high = (1 << (b - 1)) * unit
+            top = b - 1
 
-    def pack(self, rows) -> tuple:
-        return tuple(e for row in rows for e in row)
+            def add(x: int, y: int) -> int:
+                s = x + y
+                return s - (((s + bias) & high) >> top) * p
 
-    def unpack(self, state) -> tuple:
-        d = self.dim
-        return tuple(state[i * d : (i + 1) * d] for i in range(d))
+            self.add = add
+        self.identity = self.encode(MatrixGF.identity(fld, dim).rows)
 
-    def key(self, state) -> int:
-        acc = 0
-        for i, e in enumerate(state):
-            acc |= e << (self.w * i)
-        return acc
+    def _spread(self, value: int, n: int) -> int:
+        """The n lowest base-p digits of value, one per b-bit field."""
+        packed = 0
+        for t in range(n):
+            value, digit = divmod(value, self.p)
+            packed |= digit << (self.b * t)
+        return packed
 
-    def state_from_key(self, key: int) -> tuple:
-        mask = (1 << self.w) - 1
+    def encode(self, rows) -> int:
+        digits, key = self.digits, 0
+        for rs, row in zip(self.row_shifts, rows):
+            for es, e in zip(self.entry_shifts, row):
+                key |= digits[e] << (rs + es)
+        return key
+
+    def decode(self, key: int) -> tuple:
+        code_of, mask, entry_shifts = self.code_of, self.entry_mask, self.entry_shifts
         return tuple(
-            (key >> (self.w * i)) & mask for i in range(self.dim * self.dim)
+            tuple(code_of[(key >> (rs + es)) & mask] for es in entry_shifts)
+            for rs in self.row_shifts
         )
 
-    def precompute(self, state) -> list:
-        f, d = self.field, self.dim
-        return [
-            [
-                tuple(f.mul(c, state[k * d + j]) for j in range(d))
-                for c in range(f.q)
-            ]
-            for k in range(d)
-        ]
-
-    def mul(self, state, pre) -> tuple:
-        d, add = self.dim, self.add_table
+    def tables(self, key: int) -> list:
+        """Right multiplication by the matrix B = `key`: per slice of a row,
+        a table from the slice's digits to that digit row times B.  A table
+        doubles up field by field, copy a of the table so far adding a times
+        the field's unit row times B, and is then spread over the b-bit
+        fields; the spread leaves zeros where a digit would reach p."""
+        add, emask, row_mask = self.add, self.entry_mask, self.row_mask
+        units = []
+        for rs in self.row_shifts:
+            row = (key >> rs) & row_mask
+            units.append(row)
+            for scale in self.scale:
+                unit = 0
+                for es in self.entry_shifts:
+                    unit |= scale[(row >> es) & emask] << es
+                units.append(unit)
         out = []
-        for i in range(d):
-            row = [0] * d
-            base = i * d
-            for k in range(d):
-                c = state[base + k]
-                if c:
-                    pr = pre[k][c]
-                    row = [add[x][y] for x, y in zip(row, pr)]
-            out.extend(row)
-        return tuple(out)
+        for first, end, mask, places, layout in self.slices:
+            tab = [0]
+            for unit in units[first:end]:
+                grown, multiple = list(tab), 0
+                for _ in range(1, self.p):
+                    multiple = add(multiple, unit)
+                    grown += map(add, tab, repeat(multiple))
+                tab = grown
+            if layout is not None:
+                tab = [tab[i] for i in layout]
+            out.append((tab, mask, places))
+        return out
 
-
-def _engine_for(fld: Field, dim: int):
-    return _EngineChar2(fld, dim) if fld.p == 2 else _EngineGeneric(fld, dim)
+    def mul(self, key: int, tables) -> int:
+        """The key of A * B for A = `key` and `tables` = tables(B).  The rows'
+        lookups for one slice sit in disjoint bits, so they are ORed into one
+        int and the slices added once each."""
+        add, out = self.add, 0
+        for tab, mask, places in tables:
+            part = 0
+            for source, target in places:
+                part |= tab[(key >> source) & mask] << target
+            out = add(out, part)
+        return out
 
 
 class ClosedGroup:
@@ -546,12 +528,11 @@ class ClosedGroup:
     def contains(self, mat: MatrixGF) -> bool:
         if mat.field is not self.field or mat.dim != self.dim or mat.twist:
             return False
-        return self.engine.key(self.engine.pack(mat.rows)) in self.key_set
+        return self.engine.encode(mat.rows) in self.key_set
 
     def elements(self):
-        eng = self.engine
         for key in self.keys:
-            yield MatrixGF(self.field, eng.unpack(eng.state_from_key(key)))
+            yield MatrixGF(self.field, self.engine.decode(key))
 
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
@@ -571,18 +552,16 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
         g.inverse()  # raises on singular input
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
-    eng = _engine_for(fld, dim)
-    pres = [eng.precompute(eng.pack(g.rows)) for g in gens]
-    id_key = eng.key(eng.identity)
-    keys = [id_key]
-    key_set = {id_key}
+    eng = _Engine(fld, dim)
+    tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
+    keys = [eng.identity]
+    key_set = {eng.identity}
     cursor = 0
     while cursor < len(keys):
-        state = eng.state_from_key(keys[cursor])
+        key = keys[cursor]
         cursor += 1
-        for pre in pres:
-            nxt = eng.mul(state, pre)
-            k = eng.key(nxt)
+        for tab in tabs:
+            k = eng.mul(key, tab)
             if k not in key_set:
                 if len(keys) >= cap:
                     raise ResourceError(
@@ -650,7 +629,7 @@ def centre_of(group: ClosedGroup) -> list[MatrixGF]:
             if c:
                 vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, b)]
         rows = tuple(tuple(vec[i * d : (i + 1) * d]) for i in range(d))
-        if eng.key(eng.pack(rows)) in group.key_set:
+        if eng.encode(rows) in group.key_set:
             out.append(MatrixGF(f, rows))
     return out
 
@@ -660,7 +639,7 @@ def _validated_centre_keys(eng, generators, centre) -> set:
     central for the generators, is closed under product, and contains the
     identity."""
     if centre is None:
-        return {eng.key(eng.identity)}
+        return {eng.identity}
     mats = list(centre.elements() if isinstance(centre, ClosedGroup) else centre)
     if not mats:
         raise DomainError("centre argument is empty")
@@ -674,10 +653,10 @@ def _validated_centre_keys(eng, generators, centre) -> set:
                 raise DomainError(
                     "centre argument contains a non-central element"
                 )
-    keyset = {eng.key(eng.pack(z.rows)) for z in mats}
+    keyset = {eng.encode(z.rows) for z in mats}
     for a in mats:
         for b in mats:
-            if eng.key(eng.pack((a * b).rows)) not in keyset:
+            if eng.encode((a * b).rows) not in keyset:
                 raise DomainError("centre argument is not closed under product")
     return keyset
 
@@ -696,8 +675,8 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     Each cyclic subgroup is walked once: take an element g still to do and
     step through g, g^2, ... until g^n lies in the centre.  Then g^j has
     order n / gcd(j, n) modulo the centre for every j < n, so every power
-    still to do is recorded and struck off, at the cost of one precompute
-    per walk rather than one per element."""
+    still to do is recorded and struck off, at the cost of one set of
+    tables per walk rather than one per element."""
     from math import gcd
 
     eng = group.engine
@@ -706,15 +685,13 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     seen: set[int] = set()
     while todo:
         key = todo.pop()
-        state = eng.state_from_key(key)
-        pre = eng.precompute(state)
-        acc, powers = state, [key]
+        tabs = eng.tables(key)
+        acc, powers = key, [key]
         while True:
-            acc = eng.mul(acc, pre)
-            acc_key = eng.key(acc)
-            if acc_key in centre_keys:
+            acc = eng.mul(acc, tabs)
+            if acc in centre_keys:
                 break
-            powers.append(acc_key)
+            powers.append(acc)
             if len(powers) >= len(group.keys):
                 raise AssertionError("internal: order exceeds group size")
         n = len(powers) + 1
@@ -1046,24 +1023,24 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
     for g in gens:
         if g.field is not fld or g.dim != dim or g.twist:
             raise DomainError("generators must be untwisted, same ring")
-    eng = _engine_for(fld, dim)
+    eng = _Engine(fld, dim)
     centre_keys = _validated_centre_keys(eng, gens, centre)
-    pres = [eng.precompute(eng.pack(g.rows)) for g in gens]
+    gen_tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
     rng = random.Random(seed)
     seen = set()
     for _ in range(count):
         length = rng.randint(2, 24)
-        state = eng.identity
+        key = eng.identity
         for _ in range(length):
-            state = eng.mul(state, rng.choice(pres))
-        if eng.key(state) in centre_keys:
+            key = eng.mul(key, rng.choice(gen_tabs))
+        if key in centre_keys:
             seen.add(1)
             continue
-        pre = eng.precompute(state)
-        acc = state
+        tabs = eng.tables(key)
+        acc = key
         order = 1
-        while eng.key(acc) not in centre_keys:
-            acc = eng.mul(acc, pre)
+        while acc not in centre_keys:
+            acc = eng.mul(acc, tabs)
             order += 1
             if order > _ORDER_BOUND:
                 raise ResourceError("sampled element order exceeds bound")
@@ -1081,7 +1058,9 @@ def enumerate_group(
     """Close the standard generators, compute the centre, and return
     (group order, centre size, coset-order spectrum).  Results are cached
     on disk keyed by the generator set when a cache directory is available
-    (argument or ORDSPEC_CACHE_DIR); entries are written atomically."""
+    (argument or ORDSPEC_CACHE_DIR); entries are written atomically, and an
+    entry whose order, centre size and spectrum do not fit together is a
+    UsageError on read."""
     gens = standard_generators(family, dim, q)
     h = hashlib.sha256()
     for g in gens:
@@ -1100,8 +1079,19 @@ def enumerate_group(
                 spec = spectra.parse_spectrum(
                     json.dumps(obj["spectrum"], sort_keys=True, separators=(",", ":"))
                 )
-                return int(obj["group_order"]), int(obj["centre_size"]), spec
-            except (KeyError, ValueError, UsageError) as exc:
+                order, centre_size = int(obj["group_order"]), int(obj["centre_size"])
+                if (
+                    order < 1
+                    or centre_size < 1
+                    or order % centre_size
+                    or any((order // centre_size) % g for g in spec.gens)
+                ):
+                    raise ValueError(
+                        f"group order {order}, centre size {centre_size} and "
+                        f"spectrum {spec.gens} do not fit together"
+                    )
+                return order, centre_size, spec
+            except (KeyError, TypeError, ValueError, DomainError, UsageError) as exc:
                 raise UsageError(f"corrupt cache file {cache_path}: {exc}") from exc
     group = close_group(gens, cap=cap)
     centre = centre_of(group)

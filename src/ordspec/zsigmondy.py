@@ -66,16 +66,6 @@ def zsigmondy_prime(q: int, n: int) -> int | None:
     return primes[0] if primes else None
 
 
-def is_primitive_prime_divisor(r: int, q: int, n: int) -> bool:
-    """Whether the prime r has multiplicative order exactly n modulo q."""
-    _check_args(q, n)
-    if not arith.is_prime(r):
-        raise DomainError(f"candidate {r} is not prime")
-    if q % r == 0:
-        return False
-    return arith.mult_order(q, r) == n
-
-
 def all_divisors_primitive(q: int, n: int) -> bool:
     """Certify, without factoring, that every prime divisor of the primitive
     part of (q, n) has order exactly n modulo q.

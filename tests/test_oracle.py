@@ -7,12 +7,14 @@ over all 4x4 GF(2) matrices (GO4+(2)), the exceptional isomorphism
 PSU4(2) = PSp4(3) as a cross-check between two unrelated generator sets,
 and per-element brute force for the centre (every element tested against
 every generator) and for element orders (every element powered until it
-lands in the centre).
+lands in the centre), and MatrixGF's entry-by-entry products for the
+packed closure engine.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
@@ -304,11 +306,15 @@ def _brute_force_centre(group) -> set[bytes]:
     }
 
 
-def _sl2_5() -> oracle.ClosedGroup:
-    fld = oracle.field_of_order(5)
-    return oracle.close_group([
-        oracle.MatrixGF(fld, ((1, 1), (0, 1))),
-        oracle.MatrixGF(fld, ((0, 4), (1, 0))),
+def _sl2(q: int) -> oracle.ClosedGroup:
+    """SL2(q), generated by the transvections [[1, lam], [0, 1]] for lam
+    over a GF(p)-basis and the Weyl element [[0, -1], [1, 0]]."""
+    fld = oracle.field_of_order(q)
+    gens = [
+        oracle.MatrixGF(fld, ((1, fld.p**t), (0, 1))) for t in range(fld.m)
+    ]
+    return oracle.close_group(gens + [
+        oracle.MatrixGF(fld, ((0, fld.neg(1)), (1, 0))),
     ])
 
 
@@ -333,7 +339,7 @@ def test_element_orders_match_brute_force_walk() -> None:
         ident = [oracle.MatrixGF.identity(group.field, 4)]
         want = spectra.reduce_gens(_brute_force_orders(group, ident))
         assert oracle.element_orders(group).gens == want.gens, family
-    group = _sl2_5()
+    group = _sl2(5)
     assert len(group) == 120
     centre = oracle.centre_of(group)
     want = spectra.reduce_gens(_brute_force_orders(group, centre))
@@ -345,7 +351,7 @@ def test_element_orders_match_brute_force_walk() -> None:
 
 
 def test_centre_of_matches_brute_force_filter() -> None:
-    group = _sl2_5()
+    group = _sl2(5)
     centre = oracle.centre_of(group)
     assert {z.key() for z in centre} == _brute_force_centre(group)
     assert centre == [
@@ -393,3 +399,79 @@ def test_enumerate_group_cache_write_is_atomic(tmp_path, monkeypatch) -> None:
     assert closures == [1]
     assert (order, centre_size, spec.gens) == (72, 1, (4, 6))
     assert [f.suffix for f in tmp_path.iterdir()] == [".json"]
+
+
+def test_engine_matches_matrix_reference() -> None:
+    """The packed engine against MatrixGF: encode/decode round-trip and
+    products, over fields of both characteristics with one or several
+    digits per entry, in dimensions 1 to 6."""
+    rng = random.Random(53)
+    qs = (2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 64, 81, 243, 1024, 2187, 4096)
+    for q in qs:
+        fld = oracle.field_of_order(q)
+        for dim in range(1, 7):
+            eng = oracle._Engine(fld, dim)
+            for _ in range(3):
+                a, b = (
+                    oracle.MatrixGF(fld, [
+                        [rng.randrange(q) for _ in range(dim)]
+                        for _ in range(dim)
+                    ])
+                    for _ in range(2)
+                )
+                key_a = eng.encode(a.rows)
+                assert eng.decode(key_a) == a.rows, (q, dim)
+                product = eng.mul(key_a, eng.tables(eng.encode(b.rows)))
+                assert eng.decode(product) == (a * b).rows, (q, dim)
+
+
+def test_sl2_over_fields_with_several_digits() -> None:
+    # PSL2(q) for odd q has element orders p, (q - 1)/2, (q + 1)/2 and
+    # their divisors
+    for q, want in ((9, (3, 4, 5)), (25, (5, 12, 13)), (27, (3, 13, 14))):
+        group = _sl2(q)
+        assert len(group) == q * (q * q - 1), q
+        centre = oracle.centre_of(group)
+        assert len(centre) == 2, q
+        assert oracle.element_orders(group, centre).gens == want, q
+
+
+def test_sample_orders_pinned() -> None:
+    """Sampled orders are fixed by the seed; these tuples were produced by
+    the earlier per-characteristic engines and must not move."""
+    want = {
+        ("Sp", 6, 3): (3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 18, 20, 24,
+                       30, 36),
+        ("Sp", 4, 4): (1, 2, 3, 4, 5, 6, 10, 15, 17),
+        ("SU", 4, 8): (1, 2, 4, 6, 7, 9, 12, 14, 18, 19, 21, 27, 42, 57, 63,
+                       65, 91, 126, 171, 455, 513),
+    }
+    for (family, dim, q), orders in want.items():
+        gens = oracle.standard_generators(family, dim, q)
+        centre = oracle.central_scalars(family, dim, q)
+        got = oracle.sample_orders(gens, 100, seed=2024, centre=centre)
+        assert got == orders, (family, dim, q)
+
+
+def test_enumerate_group_rejects_tampered_cache(tmp_path) -> None:
+    oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
+    (entry,) = tmp_path.iterdir()
+    good = json.loads(entry.read_text(encoding="utf-8"))
+    tampered = (
+        ("group_order", None),
+        ("group_order", [72]),
+        ("group_order", "73"),
+        ("group_order", "0"),
+        ("centre_size", 0),
+        ("centre_size", 5),
+        ("spectrum", {**good["spectrum"], "gens": []}),
+    )
+    for field, value in tampered:
+        entry.write_text(json.dumps({**good, field: value}), encoding="utf-8")
+        with pytest.raises(UsageError, match="corrupt cache file"):
+            oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
+    entry.write_text(json.dumps(good), encoding="utf-8")
+    order, centre_size, spec = oracle.enumerate_group(
+        "GOplus", 4, 2, cache_dir=str(tmp_path)
+    )
+    assert (order, centre_size, spec.gens) == (72, 1, (4, 6))

@@ -66,14 +66,6 @@ def test_zsigmondy_prime() -> None:
     assert zsigmondy.zsigmondy_prime(3, 6) == 7
 
 
-def test_is_primitive_prime_divisor() -> None:
-    assert zsigmondy.is_primitive_prime_divisor(7, 2, 3)
-    assert not zsigmondy.is_primitive_prime_divisor(7, 2, 6)
-    assert not zsigmondy.is_primitive_prime_divisor(3, 3, 2)
-    with pytest.raises(DomainError):
-        zsigmondy.is_primitive_prime_divisor(6, 2, 3)
-
-
 def test_primitive_part_strips_exactly_the_order_failures() -> None:
     # Phi_6(2) = 3 but 3 has order 2, so the part collapses to 1.
     assert zsigmondy.primitive_part(2, 6) == 1
