@@ -134,9 +134,7 @@ def cmd_oracle_sample(args) -> int:
     family, dim = ORACLE_GROUPS[args.group]
     gens = oracle.standard_generators(family, dim, args.q)
     centre = oracle.central_scalars(family, dim, args.q)
-    orders = oracle.sample_orders(
-        gens, args.count, args.seed, centre if len(centre) > 1 else None
-    )
+    orders = oracle.sample_orders(gens, args.count, args.seed, centre)
     print("orders=" + " ".join(str(o) for o in orders))
     return 0
 

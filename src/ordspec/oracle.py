@@ -10,11 +10,13 @@ and compare against the formulas.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
-operations are table lookups.  MatrixGF is the plain reference arithmetic;
-closure, centre, element orders and sampling run on one engine for every
-field, in which a whole matrix is one int holding the base-p digits of its
-entries, a row is added by XOR (p = 2) or a digit-wise add with one masked
-reduction (odd p), and a product is a few table lookups per row.
+operations are table lookups.  MatrixGF is the plain reference arithmetic
+on square matrices; closure, centre, element orders, sampling and the
+order of the twisted element run on one engine for every field, in which
+a whole matrix is one int holding the base-p digits of its entries, a row
+is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
+p), and a product is a few table lookups per row.  Every order is read off
+one power walk, g, g^2, ... up to the first central power.
 """
 
 from __future__ import annotations
@@ -203,13 +205,7 @@ def field(p: int, m: int) -> Field:
 
 
 def field_of_order(q: int) -> Field:
-    from . import arith
-
-    fact = arith.factorize(q)
-    if len(fact.factors) != 1:
-        raise DomainError(f"{q} is not a prime power")
-    ((p, m),) = fact.factors.items()
-    return field(p, m)
+    return field(*spectra.split_prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +213,12 @@ def field_of_order(q: int) -> Field:
 
 
 class MatrixGF:
-    """A square matrix over a Field, optionally carrying the twist flag that
-    marks composition with the field automorphism x -> x^sqrt(q).
+    """An immutable square matrix over a Field: the plain reference
+    arithmetic, entry by entry, that the packed engine is tested against."""
 
-    Twisted elements multiply by (A, i)(B, j) = (A * sigma^i(B), i xor j)
-    where sigma acts entrywise.
-    """
+    __slots__ = ("field", "rows")
 
-    __slots__ = ("field", "rows", "twist")
-
-    def __init__(self, fld: Field, rows, twist: int = 0):
+    def __init__(self, fld: Field, rows):
         rows = tuple(tuple(r) for r in rows)
         dim = len(rows)
         for r in rows:
@@ -235,13 +227,8 @@ class MatrixGF:
             for e in r:
                 if not 0 <= e < fld.q:
                     raise DomainError(f"entry {e} out of range for {fld}")
-        if twist not in (0, 1):
-            raise DomainError(f"twist must be 0 or 1, got {twist}")
-        if twist and fld.m % 2:
-            raise DomainError("twist needs a field of even degree")
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "twist", twist)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
@@ -257,7 +244,7 @@ class MatrixGF:
         ))
 
     def is_identity(self) -> bool:
-        return self.twist == 0 and all(
+        return all(
             e == (1 if i == j else 0)
             for i, row in enumerate(self.rows)
             for j, e in enumerate(row)
@@ -265,32 +252,24 @@ class MatrixGF:
 
     def conj_entries(self) -> MatrixGF:
         f = self.field
-        return MatrixGF(
-            f, tuple(tuple(f.conj(e) for e in row) for row in self.rows), self.twist
-        )
+        return MatrixGF(f, tuple(tuple(f.conj(e) for e in row) for row in self.rows))
 
     def transpose(self) -> MatrixGF:
-        return MatrixGF(self.field, tuple(zip(*self.rows)), self.twist)
+        return MatrixGF(self.field, tuple(zip(*self.rows)))
 
     def __mul__(self, other: MatrixGF) -> MatrixGF:
         f = self.field
         if other.field is not f:
             raise DomainError("matrices over different fields")
-        rows_b = other.rows
-        if self.twist:
-            rows_b = tuple(tuple(f.conj(e) for e in row) for row in rows_b)
-        d = self.dim
-        cols_b = tuple(zip(*rows_b))
+        cols_b = tuple(zip(*other.rows))
         out = []
         for arow in self.rows:
             out.append(tuple(
                 _dot(f, arow, bcol) for bcol in cols_b
             ))
-        return MatrixGF(f, out, self.twist ^ other.twist)
+        return MatrixGF(f, out)
 
     def inverse(self) -> MatrixGF:
-        if self.twist:
-            raise DomainError("inverse of twisted elements not needed")
         f, d = self.field, self.dim
         # reducing [A | I] leaves [I | A^-1] exactly when A is invertible
         pivots = _reduced_echelon(f, (
@@ -301,42 +280,18 @@ class MatrixGF:
             raise DomainError("matrix is singular")
         return MatrixGF(f, tuple(tuple(pivots[i][d:]) for i in range(d)))
 
-    def order(self) -> int:
-        """Multiplicative order; twisted elements supported."""
-        acc = self
-        for k in range(1, _ORDER_BOUND + 1):
-            if acc.is_identity():
-                return k
-            acc = acc * self
-        raise ResourceError(f"order exceeds {_ORDER_BOUND}")
-
-    def key(self) -> bytes:
-        """Canonical byte encoding: entries row-major, each in the minimal
-        bit width for the field, twist flag appended when set."""
-        w = max(1, (self.field.q - 1).bit_length())
-        acc = 0
-        shift = 0
-        for row in self.rows:
-            for e in row:
-                acc |= e << shift
-                shift += w
-        data = acc.to_bytes((shift + 7) // 8 or 1, "little")
-        return data + b"\x01" if self.twist else data
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixGF)
             and self.field is other.field
             and self.rows == other.rows
-            and self.twist == other.twist
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.rows, self.twist))
+        return hash((id(self.field), self.rows))
 
     def __repr__(self) -> str:
-        t = ", twisted" if self.twist else ""
-        return f"MatrixGF({self.field}, {self.rows}{t})"
+        return f"MatrixGF({self.field}, {self.rows})"
 
 
 def _dot(f: Field, a, b) -> int:
@@ -510,28 +465,22 @@ class _Engine:
 
 
 class ClosedGroup:
-    """The multiplicative closure of a generator list: all elements, stored
-    as packed integer keys in discovery order, plus the machinery to map
-    keys back to matrices."""
+    """The multiplicative closure of a generator list: the set of its
+    elements' packed integer keys, plus the machinery to map keys back to
+    matrices."""
 
-    def __init__(self, fld: Field, dim: int, engine, keys, key_set, generators):
+    def __init__(self, fld: Field, dim: int, engine, key_set, generators):
         self.field = fld
         self.dim = dim
         self.engine = engine
-        self.keys = keys
         self.key_set = key_set
         self.generators = list(generators)
 
     def __len__(self) -> int:
-        return len(self.keys)
-
-    def contains(self, mat: MatrixGF) -> bool:
-        if mat.field is not self.field or mat.dim != self.dim or mat.twist:
-            return False
-        return self.engine.encode(mat.rows) in self.key_set
+        return len(self.key_set)
 
     def elements(self):
-        for key in self.keys:
+        for key in self.key_set:
             yield MatrixGF(self.field, self.engine.decode(key))
 
 
@@ -547,29 +496,25 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
     for g in gens:
         if g.field is not fld or g.dim != dim:
             raise DomainError("generators live in different matrix rings")
-        if g.twist:
-            raise DomainError("closure of twisted elements is out of scope")
         g.inverse()  # raises on singular input
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
     eng = _Engine(fld, dim)
     tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
-    keys = [eng.identity]
+    queue = [eng.identity]
     key_set = {eng.identity}
-    cursor = 0
-    while cursor < len(keys):
-        key = keys[cursor]
-        cursor += 1
+    # the loop also visits the keys appended to the queue while it runs
+    for key in queue:
         for tab in tabs:
             k = eng.mul(key, tab)
             if k not in key_set:
-                if len(keys) >= cap:
+                if len(key_set) >= cap:
                     raise ResourceError(
                         f"closure exceeded the cap of {cap} elements"
                     )
                 key_set.add(k)
-                keys.append(k)
-    return ClosedGroup(fld, dim, eng, keys, key_set, gens)
+                queue.append(k)
+    return ClosedGroup(fld, dim, eng, key_set, gens)
 
 
 def _commutant_basis(generators) -> list[list[int]]:
@@ -640,7 +585,7 @@ def _validated_centre_keys(eng, generators, centre) -> set:
     identity."""
     if centre is None:
         return {eng.identity}
-    mats = list(centre.elements() if isinstance(centre, ClosedGroup) else centre)
+    mats = list(centre)
     if not mats:
         raise DomainError("centre argument is empty")
     fld, dim = mats[0].field, mats[0].dim
@@ -661,11 +606,21 @@ def _validated_centre_keys(eng, generators, centre) -> set:
     return keyset
 
 
-def _centre_keys(group: ClosedGroup, centre) -> set:
-    keyset = _validated_centre_keys(group.engine, group.generators, centre)
-    if not keyset <= group.key_set:
-        raise DomainError("centre argument is not inside the group")
-    return keyset
+def _central_power_walk(eng, key: int, centre_keys, bound: int) -> list[int]:
+    """The powers g, g^2, ..., g^(n-1) of g = `key` that come before the
+    first power g^n in `centre_keys`, so n = len + 1 is the order of g
+    modulo the centre (an empty list when g itself is central).  Raises
+    ResourceError when n would exceed `bound`."""
+    powers = []
+    if key in centre_keys:
+        return powers
+    mul, tabs, acc = eng.mul, eng.tables(key), key
+    for _ in range(bound - 1):
+        powers.append(acc)
+        acc = mul(acc, tabs)
+        if acc in centre_keys:
+            return powers
+    raise ResourceError(f"element order exceeds {bound}")
 
 
 def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
@@ -679,21 +634,15 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     tables per walk rather than one per element."""
     from math import gcd
 
-    eng = group.engine
-    centre_keys = _centre_keys(group, centre)
+    centre_keys = _validated_centre_keys(group.engine, group.generators, centre)
+    if not centre_keys <= group.key_set:
+        raise DomainError("centre argument is not inside the group")
     todo = group.key_set - centre_keys
     seen: set[int] = set()
     while todo:
-        key = todo.pop()
-        tabs = eng.tables(key)
-        acc, powers = key, [key]
-        while True:
-            acc = eng.mul(acc, tabs)
-            if acc in centre_keys:
-                break
-            powers.append(acc)
-            if len(powers) >= len(group.keys):
-                raise AssertionError("internal: order exceeds group size")
+        powers = _central_power_walk(
+            group.engine, todo.pop(), centre_keys, len(group)
+        )
         n = len(powers) + 1
         seen.add(n)
         for j in range(2, n):
@@ -702,8 +651,7 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
                 seen.add(n // gcd(j, n))
     if not seen:
         seen.add(1)
-    label = f"enumerated[{len(group.keys)}]"
-    return spectra.reduce_gens(seen, label=label)
+    return spectra.reduce_gens(seen, label=f"enumerated[{len(group)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -882,16 +830,20 @@ SUPPORTED_GENERATORS = (
 )
 
 
-def central_scalars(family: str, dim: int, q: int) -> list[MatrixGF]:
-    """The scalar matrices lying in the named matrix group: +-I for Sp,
-    the scalars z with z^(q+1) = z^dim = 1 for SU, only I for GO+(4, 2).
-    Quotienting by them turns matrix orders into orders in the simple
-    (or for GO+ the plain) quotient."""
+def _check_supported(family: str, dim: int, q: int) -> None:
     if (family, dim, q) not in SUPPORTED_GENERATORS:
         raise DomainError(
             f"no standard generators for ({family}, {dim}, {q}); "
             f"supported: {SUPPORTED_GENERATORS}"
         )
+
+
+def central_scalars(family: str, dim: int, q: int) -> list[MatrixGF]:
+    """The scalar matrices lying in the named matrix group: +-I for Sp,
+    the scalars z with z^(q+1) = z^dim = 1 for SU, only I for GO+(4, 2).
+    Quotienting by them turns matrix orders into orders in the simple
+    (or for GO+ the plain) quotient."""
+    _check_supported(family, dim, q)
     if family == "SU":
         fld = field_of_order(q * q)
         codes = [
@@ -912,11 +864,7 @@ def central_scalars(family: str, dim: int, q: int) -> list[MatrixGF]:
 def standard_generators(family: str, dim: int, q: int) -> list[MatrixGF]:
     """Matrices generating the named group: Sp(dim, q), SU(4, q) (as
     matrices over GF(q^2)), or the full orthogonal group GO+(4, 2)."""
-    if (family, dim, q) not in SUPPORTED_GENERATORS:
-        raise DomainError(
-            f"no standard generators for ({family}, {dim}, {q}); "
-            f"supported: {SUPPORTED_GENERATORS}"
-        )
+    _check_supported(family, dim, q)
     if family == "Sp":
         gens = _sp_generators(field_of_order(q), dim)
         for g in gens:
@@ -954,30 +902,38 @@ def _twisted_b(fld: Field, t: int) -> MatrixGF:
             (0, 0, 1, fld.conj(t)),
             (0, 0, 0, 1),
         ),
-        twist=1,
     )
+
+
+def _twisting_field(q: int) -> Field:
+    """GF(q^2) for q a power of 2, the field the twisted element lives in."""
+    if q < 2 or q & (q - 1):
+        raise DomainError(f"q must be a power of 2, got {q}")
+    return field(2, 2 * (q.bit_length() - 1))
 
 
 def twisted_order_with_t(q: int, t: int) -> int:
     """Order of the twisted element (B(t), gamma) in SU_4(q).2, for any
-    t in GF(q^2) outside GF(q)."""
-    from . import arith
+    t in GF(q^2) outside GF(q).
 
-    fact = arith.factorize(q)
-    if len(fact.factors) != 1 or fact.primes != (2,):
-        raise DomainError(f"q must be a power of 2, got {q}")
-    fld = field(2, 2 * fact.factors[2])
+    Elements of SU_4(q).2 multiply by (A, i)(B, j) = (A sigma^i(B), i xor j)
+    with sigma the entrywise field automorphism.  Odd powers of (B, gamma)
+    keep the twist, so they are never the identity, and its square is
+    (B sigma(B), 0): the order is twice the order of B sigma(B)."""
+    fld = _twisting_field(q)
     if not 0 <= t < fld.q:
         raise DomainError(f"t code {t} out of range for {fld}")
     if fld.conj(t) == t:
         raise DomainError(f"t code {t} lies in the subfield GF({q})")
     b = _twisted_b(fld, t)
-    untwisted = MatrixGF(fld, b.rows)
-    if not preserves_hermitian_form(untwisted) or _det(untwisted) != 1:
+    if not preserves_hermitian_form(b) or _det(b) != 1:
         raise AssertionError("internal: B(t) outside SU4")
-    order = b.order()
+    square = b * b.conj_entries()
+    eng = _Engine(fld, 4)
+    order = 2 * (len(_central_power_walk(
+        eng, eng.encode(square.rows), {eng.identity}, _ORDER_BOUND
+    )) + 1)
     # the fourth power must be the unipotent matrix I + (t^2 + conj(t)^2) E14
-    fourth = b * b * b * b
     c = fld.add(fld.mul(t, t), fld.mul(fld.conj(t), fld.conj(t)))
     expected = MatrixGF(
         fld,
@@ -988,7 +944,7 @@ def twisted_order_with_t(q: int, t: int) -> int:
             (0, 0, 0, 1),
         ),
     )
-    if fourth.twist != 0 or fourth != expected:
+    if square * square != expected:
         raise AssertionError("internal: (B gamma)^4 has unexpected shape")
     if c == 0:
         raise AssertionError("internal: t^2 + conj(t)^2 vanished")
@@ -998,13 +954,7 @@ def twisted_order_with_t(q: int, t: int) -> int:
 def twisted_order_b_gamma(q: int) -> int:
     """Order of (B, gamma) for the canonical choice of t (a primitive
     element of GF(q^2), never in the subfield)."""
-    from . import arith
-
-    fact = arith.factorize(q)
-    if len(fact.factors) != 1 or fact.primes != (2,):
-        raise DomainError(f"q must be a power of 2, got {q}")
-    fld = field(2, 2 * fact.factors[2])
-    return twisted_order_with_t(q, fld.gen)
+    return twisted_order_with_t(q, _twisting_field(q).gen)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,8 +971,8 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
         raise DomainError(f"count must be positive, got {count}")
     fld, dim = gens[0].field, gens[0].dim
     for g in gens:
-        if g.field is not fld or g.dim != dim or g.twist:
-            raise DomainError("generators must be untwisted, same ring")
+        if g.field is not fld or g.dim != dim:
+            raise DomainError("generators must live in the same matrix ring")
     eng = _Engine(fld, dim)
     centre_keys = _validated_centre_keys(eng, gens, centre)
     gen_tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
@@ -1033,19 +983,14 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
         key = eng.identity
         for _ in range(length):
             key = eng.mul(key, rng.choice(gen_tabs))
-        if key in centre_keys:
-            seen.add(1)
-            continue
-        tabs = eng.tables(key)
-        acc = key
-        order = 1
-        while acc not in centre_keys:
-            acc = eng.mul(acc, tabs)
-            order += 1
-            if order > _ORDER_BOUND:
-                raise ResourceError("sampled element order exceeds bound")
-        seen.add(order)
+        powers = _central_power_walk(eng, key, centre_keys, _ORDER_BOUND)
+        seen.add(len(powers) + 1)
     return tuple(sorted(seen))
+
+
+# Part of every cache file name: a new value makes every entry written under
+# an older format or generator encoding a miss.
+_CACHE_FORMAT = "enumerate_group/2"
 
 
 def enumerate_group(
@@ -1057,15 +1002,15 @@ def enumerate_group(
 ):
     """Close the standard generators, compute the centre, and return
     (group order, centre size, coset-order spectrum).  Results are cached
-    on disk keyed by the generator set when a cache directory is available
-    (argument or ORDSPEC_CACHE_DIR); entries are written atomically, and an
-    entry whose order, centre size and spectrum do not fit together is a
-    UsageError on read."""
+    on disk keyed by a format tag and the generator set when a cache
+    directory is available (argument or ORDSPEC_CACHE_DIR).  Entries are
+    written atomically; an entry that does not parse, or whose order,
+    centre size and spectrum do not fit together, counts as a miss and is
+    recomputed and overwritten."""
     gens = standard_generators(family, dim, q)
-    h = hashlib.sha256()
-    for g in gens:
-        h.update(g.key())
-    gen_hash = h.hexdigest()[:12]
+    gen_hash = hashlib.sha256(
+        f"{_CACHE_FORMAT}:{[g.rows for g in gens]!r}".encode()
+    ).hexdigest()[:12]
     cache_dir = cache_dir or os.environ.get("ORDSPEC_CACHE_DIR")
     cache_path = None
     if cache_dir:
@@ -1081,21 +1026,17 @@ def enumerate_group(
                 )
                 order, centre_size = int(obj["group_order"]), int(obj["centre_size"])
                 if (
-                    order < 1
-                    or centre_size < 1
-                    or order % centre_size
-                    or any((order // centre_size) % g for g in spec.gens)
+                    order >= 1
+                    and centre_size >= 1
+                    and order % centre_size == 0
+                    and all((order // centre_size) % g == 0 for g in spec.gens)
                 ):
-                    raise ValueError(
-                        f"group order {order}, centre size {centre_size} and "
-                        f"spectrum {spec.gens} do not fit together"
-                    )
-                return order, centre_size, spec
-            except (KeyError, TypeError, ValueError, DomainError, UsageError) as exc:
-                raise UsageError(f"corrupt cache file {cache_path}: {exc}") from exc
+                    return order, centre_size, spec
+            except (KeyError, TypeError, ValueError, DomainError, UsageError):
+                pass  # unreadable: recomputed and overwritten below
     group = close_group(gens, cap=cap)
     centre = centre_of(group)
-    spec = element_orders(group, centre if len(centre) > 1 else None)
+    spec = element_orders(group, centre)
     if cache_path:
         import tempfile
 

@@ -227,13 +227,13 @@ def parse_spectrum(text: str) -> SpectrumGens:
         label = obj["label"]
         part = obj["part"]
         gens = tuple(int(g) for g in obj["gens"])
+        group = None
+        if "group" in obj:
+            g = obj["group"]
+            group = GroupId(g["family"], int(g["n"]), int(g["p"]), int(g["m"]))
+        return SpectrumGens(label, part, gens, group)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed spectrum serialization: {exc}") from exc
-    group = None
-    if "group" in obj:
-        g = obj["group"]
-        group = GroupId(g["family"], int(g["n"]), int(g["p"]), int(g["m"]))
-    return SpectrumGens(label, part, gens, group)
 
 
 @lru_cache(maxsize=None)

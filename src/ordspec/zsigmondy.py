@@ -11,8 +11,6 @@ Phi_6(2) = 3 divides n.
 
 from __future__ import annotations
 
-import math
-
 from . import arith
 from .errors import DomainError
 
@@ -65,18 +63,3 @@ def zsigmondy_prime(q: int, n: int) -> int | None:
     primes = primitive_prime_divisors(q, n)
     return primes[0] if primes else None
 
-
-def all_divisors_primitive(q: int, n: int) -> bool:
-    """Certify, without factoring, that every prime divisor of the primitive
-    part of (q, n) has order exactly n modulo q.
-
-    Checks that the primitive part M divides q^n - 1 and is coprime to every
-    q^i - 1 with 0 < i < n.  Lets tests pin down order properties of numbers
-    far too large to factor.
-    """
-    value = primitive_part(q, n)
-    if value == 1:
-        return True
-    if (q**n - 1) % value != 0:
-        return False
-    return all(math.gcd(value, q**i - 1) == 1 for i in range(1, n))

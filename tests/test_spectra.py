@@ -7,6 +7,7 @@ test_oracle and test_acceptance for the machine side of that bargain).
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -145,6 +146,12 @@ def test_parse_rejects_malformed() -> None:
         spectra.parse_spectrum("not json")
     with pytest.raises(UsageError):
         spectra.parse_spectrum('{"label": "x"}')
+    spec = spectra.spectrum(spectra.group_id(SP, 2, 3))
+    good = json.loads(spectra.serialize(spec))
+    assert "group" in good
+    for bad in ({"group": {}}, {"group": 5}, {"part": "x"}):
+        with pytest.raises(UsageError):
+            spectra.parse_spectrum(json.dumps({**good, **bad}))
 
 
 def test_p_prime_is_strip_of_full_where_both_exist() -> None:
