@@ -1,21 +1,21 @@
 """Exact integer arithmetic: factorizations, prime parts, multiplicative orders.
 
-Thin, validated wrappers around sympy's number theory.  Everything works on
-arbitrary-precision ints; nothing here is probabilistic in a way that can
-return a wrong answer silently (sympy's isprime is strong BPSW + Miller-Rabin,
-with no known pseudoprime, and is proven deterministic well past every value
-this package feeds it).
+Thin, validated wrappers around sympy's number theory, and cyclotomic values
+computed in integers.  Everything works on arbitrary-precision ints; nothing
+here is probabilistic in a way that can return a wrong answer silently
+(sympy's isprime is strong BPSW + Miller-Rabin, with no known pseudoprime,
+and is proven deterministic well past every value this package feeds it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from sympy import divisors as _sympy_divisors
 from sympy import factorint, isprime
 from sympy.ntheory.residue_ntheory import n_order
-from sympy.polys.specialpolys import cyclotomic_poly
 
 from .errors import DomainError
 
@@ -121,8 +121,17 @@ def mult_order(q: int, r: int) -> int:
     return int(n_order(q, r))
 
 
+# Bounded so that a long-running caller sweeping many (n, q) does not grow
+# without limit; the closed-form paths ask for a few hundred values.
+@lru_cache(maxsize=4096)
 def cyclotomic_value(n: int, q: int) -> int:
-    """The n-th cyclotomic polynomial evaluated at the integer q >= 2."""
+    """The n-th cyclotomic polynomial evaluated at the integer q >= 2:
+    q^n - 1 divided by Phi_d(q) for every proper divisor d of n."""
     if n < 1 or q < 2:
         raise DomainError(f"cyclotomic_value needs n >= 1, q >= 2, got ({n}, {q})")
-    return int(cyclotomic_poly(n, q))
+    value = q**n - 1
+    for d in divisors(n)[:-1]:
+        value, rem = divmod(value, cyclotomic_value(d, q))
+        if rem:
+            raise AssertionError(f"internal: Phi_{d}({q}) does not divide {q}^{n} - 1")
+    return value

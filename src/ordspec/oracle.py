@@ -208,6 +208,14 @@ def field_of_order(q: int) -> Field:
     return field(*spectra.split_prime_power(q))
 
 
+@lru_cache(maxsize=None)
+def _engine(fld: Field, dim: int) -> _Engine:
+    """The shared engine for dim x dim matrices over fld.  An engine's
+    tables are filled in its constructor and only read afterwards, so one
+    instance can serve every caller."""
+    return _Engine(fld, dim)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -499,7 +507,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
         g.inverse()  # raises on singular input
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
-    eng = _Engine(fld, dim)
+    eng = _engine(fld, dim)
     tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
     queue = [eng.identity]
     key_set = {eng.identity}
@@ -929,7 +937,7 @@ def twisted_order_with_t(q: int, t: int) -> int:
     if not preserves_hermitian_form(b) or _det(b) != 1:
         raise AssertionError("internal: B(t) outside SU4")
     square = b * b.conj_entries()
-    eng = _Engine(fld, 4)
+    eng = _engine(fld, 4)
     order = 2 * (len(_central_power_walk(
         eng, eng.encode(square.rows), {eng.identity}, _ORDER_BOUND
     )) + 1)
@@ -973,7 +981,7 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
     for g in gens:
         if g.field is not fld or g.dim != dim:
             raise DomainError("generators must live in the same matrix ring")
-    eng = _Engine(fld, dim)
+    eng = _engine(fld, dim)
     centre_keys = _validated_centre_keys(eng, gens, centre)
     gen_tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
     rng = random.Random(seed)
@@ -1006,7 +1014,9 @@ def enumerate_group(
     directory is available (argument or ORDSPEC_CACHE_DIR).  Entries are
     written atomically; an entry that does not parse, or whose order,
     centre size and spectrum do not fit together, counts as a miss and is
-    recomputed and overwritten."""
+    recomputed and overwritten.  An entry that cannot be read (say, a
+    directory in its place) is a miss too; one that cannot be written
+    raises UsageError naming the path."""
     gens = standard_generators(family, dim, q)
     gen_hash = hashlib.sha256(
         f"{_CACHE_FORMAT}:{[g.rows for g in gens]!r}".encode()
@@ -1017,43 +1027,45 @@ def enumerate_group(
         cache_path = os.path.join(
             cache_dir, f"{family}{dim}q{q}-{gen_hash}.json"
         )
-        if os.path.exists(cache_path):
-            try:
-                with open(cache_path, "r", encoding="utf-8") as fh:
-                    obj = json.load(fh)
-                spec = spectra.parse_spectrum(
-                    json.dumps(obj["spectrum"], sort_keys=True, separators=(",", ":"))
-                )
-                order, centre_size = int(obj["group_order"]), int(obj["centre_size"])
-                if (
-                    order >= 1
-                    and centre_size >= 1
-                    and order % centre_size == 0
-                    and all((order // centre_size) % g == 0 for g in spec.gens)
-                ):
-                    return order, centre_size, spec
-            except (KeyError, TypeError, ValueError, DomainError, UsageError):
-                pass  # unreadable: recomputed and overwritten below
+        try:
+            with open(cache_path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            spec = spectra.parse_spectrum(
+                json.dumps(obj["spectrum"], sort_keys=True, separators=(",", ":"))
+            )
+            order, centre_size = int(obj["group_order"]), int(obj["centre_size"])
+            if (
+                order >= 1
+                and centre_size >= 1
+                and order % centre_size == 0
+                and all((order // centre_size) % g == 0 for g in spec.gens)
+            ):
+                return order, centre_size, spec
+        except (OSError, KeyError, TypeError, ValueError, DomainError, UsageError):
+            pass  # absent or unreadable: recomputed and written below
     group = close_group(gens, cap=cap)
     centre = centre_of(group)
     spec = element_orders(group, centre)
     if cache_path:
         import tempfile
 
-        os.makedirs(cache_dir, exist_ok=True)
         obj = {
             "group_order": str(len(group)),
             "centre_size": len(centre),
             "spectrum": json.loads(spectra.serialize(spec)),
         }
-        # write a temporary file beside the entry and rename it into place,
-        # so an interrupted write never leaves a truncated entry behind
-        fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp_path, cache_path)
-        finally:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
+            os.makedirs(cache_dir, exist_ok=True)
+            # write a temporary file beside the entry and rename it into
+            # place, so an interrupted write never leaves a truncated entry
+            fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+                os.replace(tmp_path, cache_path)
+            finally:
+                if os.path.exists(tmp_path):
+                    os.remove(tmp_path)
+        except OSError as exc:
+            raise UsageError(f"cannot write cache entry {cache_path}: {exc}") from exc
     return len(group), len(centre), spec

@@ -13,15 +13,24 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import arith, spectra
 from .errors import DomainError, UnsupportedError, UsageError
 from .spectra import FULL, GroupId, SpectrumGens
 
 
+# Bounded like arith.cyclotomic_value; a tuple, so no caller can change a
+# cached entry (a Factorization holds a mutable dict).
+@lru_cache(maxsize=4096)
+def _cyclotomic_factors(d: int, q: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of Phi_d(q)."""
+    return tuple(arith.factorize(arith.cyclotomic_value(d, q)).factors.items())
+
+
 def _factor_qn_minus_1(q: int, n: int, into: Counter) -> None:
     for d in arith.divisors(n):
-        for r, e in arith.factorize(arith.cyclotomic_value(d, q)).factors.items():
+        for r, e in _cyclotomic_factors(d, q):
             into[r] += e
 
 
@@ -30,7 +39,7 @@ def _factor_qn_plus_1(q: int, n: int, into: Counter) -> None:
     # of 2n that do not divide n.
     for d in arith.divisors(2 * n):
         if n % d != 0:
-            for r, e in arith.factorize(arith.cyclotomic_value(d, q)).factors.items():
+            for r, e in _cyclotomic_factors(d, q):
                 into[r] += e
 
 
@@ -100,14 +109,18 @@ class PrimeGraph:
 
 
 def graph_from_spectrum(spec: SpectrumGens, vertices) -> PrimeGraph:
-    """Prime graph on the given vertices with adjacency read off a spectrum."""
+    """Prime graph on the given vertices with adjacency read off a spectrum:
+    r ~ s when r * s divides some generator."""
     verts = tuple(sorted(set(vertices)))
-    edges = tuple(
-        (r, s)
-        for r, s in itertools.combinations(verts, 2)
-        if spectra.contains(spec, r * s)
-    )
-    return PrimeGraph(spec.label, spec.part, verts, edges)
+    if verts and verts[0] < 1:
+        raise DomainError(f"vertices must be positive, got {verts[0]}")
+    edges = set()
+    for g in spec.gens:
+        divs = [v for v in verts if g % v == 0]
+        edges.update(
+            (r, s) for r, s in itertools.combinations(divs, 2) if g % (r * s) == 0
+        )
+    return PrimeGraph(spec.label, spec.part, verts, tuple(sorted(edges)))
 
 
 def build_graph(group: GroupId, part: str = FULL) -> PrimeGraph:
@@ -138,14 +151,22 @@ def find_cocliques(graph: PrimeGraph, size: int) -> list[tuple[int, ...]]:
     """All cocliques of exactly the given size, lexicographically sorted."""
     if size < 1:
         raise DomainError(f"coclique size must be positive, got {size}")
-    out = []
-    for combo in itertools.combinations(graph.vertices, size):
-        if all(
-            (r, s) not in graph.edge_set
-            for r, s in itertools.combinations(combo, 2)
-        ):
-            out.append(combo)
-    return out
+    verts = graph.vertices
+    # later[v]: the vertices after v that are not adjacent to it
+    later = {
+        v: frozenset(w for w in verts[i + 1 :] if (v, w) not in graph.edge_set)
+        for i, v in enumerate(verts)
+    }
+    # after k steps: every k-coclique, in lexicographic order, with the
+    # vertices that extend it (after its last vertex, adjacent to none of it)
+    level = [((), frozenset(verts))]
+    for _ in range(size - 1):
+        level = [
+            (combo + (w,), cand & later[w])
+            for combo, cand in level
+            for w in sorted(cand)
+        ]
+    return [combo + (w,) for combo, cand in level for w in sorted(cand)]
 
 
 def neighbourhood(graph: PrimeGraph, r: int) -> tuple[int, ...]:

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+import sympy
+from sympy.polys.specialpolys import cyclotomic_poly
 
 from ordspec import arith
 from ordspec.errors import DomainError
@@ -129,6 +131,16 @@ def test_cyclotomic_values() -> None:
         arith.cyclotomic_value(0, 5)
     with pytest.raises(DomainError):
         arith.cyclotomic_value(3, 1)
+
+
+def test_cyclotomic_value_matches_sympy_polynomial() -> None:
+    """The integer recursion against sympy's cyclotomic polynomials, used
+    here only as a reference, for n <= 60 at every q <= 50 and at q = 4096."""
+    x = sympy.Symbol("x")
+    for n in range(1, 61):
+        poly = sympy.Poly(cyclotomic_poly(n, x), x)
+        for q in list(range(2, 51)) + [4096]:
+            assert arith.cyclotomic_value(n, q) == int(poly.eval(q)), (n, q)
 
 
 def test_cyclotomic_product_identity() -> None:

@@ -168,6 +168,16 @@ def test_oracle_enumerate_output(capsys, tmp_path, monkeypatch) -> None:
     assert list(tmp_path.iterdir())
 
 
+def test_oracle_enumerate_unwritable_entry_exits_2(capsys, tmp_path, monkeypatch) -> None:
+    monkeypatch.setenv("ORDSPEC_CACHE_DIR", str(tmp_path))
+    entry = tmp_path / "GOplus4q2-3f181c78a766.json"
+    entry.mkdir()
+    code, out, err = _run(capsys, "oracle", "enumerate", "GO4plus", "2")
+    assert code == 2
+    assert out == ""
+    assert str(entry) in err and "Traceback" not in err
+
+
 def test_oracle_enumerate_cap_exits_4(capsys) -> None:
     code, _, err = _run(capsys, "oracle", "enumerate", "Sp4", "3", "--cap", "100")
     assert code == 4

@@ -13,6 +13,7 @@ packed closure engine.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -21,7 +22,7 @@ import random
 import pytest
 
 from ordspec import oracle, spectra
-from ordspec.errors import DomainError, ResourceError
+from ordspec.errors import DomainError, ResourceError, UsageError
 
 
 def _field_elements(fld: oracle.Field) -> range:
@@ -202,8 +203,8 @@ def test_twisted_element_order_eight_for_all_t() -> None:
         picks = outside if len(outside) <= 16 else rng.sample(outside, 16)
         for t in picks:
             assert oracle.twisted_order_with_t(q, t) == 8, (q, t)
-    assert oracle.twisted_order_b_gamma(2) == 8
-    assert oracle.twisted_order_b_gamma(32) == 8
+    for q in (2, 4, 8, 16, 32):
+        assert oracle.twisted_order_b_gamma(q) == 8, q
 
 
 def test_twisted_element_rejects_subfield_t() -> None:
@@ -403,7 +404,7 @@ def test_enumerate_group_cache_write_is_atomic(tmp_path, monkeypatch) -> None:
         raise OSError("disk full")
 
     monkeypatch.setattr(oracle.json, "dump", torn_dump)
-    with pytest.raises(OSError):
+    with pytest.raises(UsageError, match="disk full"):
         oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
@@ -422,6 +423,65 @@ def test_enumerate_group_cache_write_is_atomic(tmp_path, monkeypatch) -> None:
     assert closures == [1]
     assert (order, centre_size, spec.gens) == (72, 1, (4, 6))
     assert [f.suffix for f in tmp_path.iterdir()] == [".json"]
+
+
+def test_enumerate_group_unreadable_entry_is_a_miss(tmp_path, monkeypatch) -> None:
+    oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_text(encoding="utf-8")
+
+    def refusing_open(path, *args, **kwargs):
+        if str(path) == str(entry):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    closures = []
+    close_group = oracle.close_group
+
+    def counting_close_group(*args, **kwargs):
+        closures.append(1)
+        return close_group(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "open", refusing_open, raising=False)
+    monkeypatch.setattr(oracle, "close_group", counting_close_group)
+    order, centre_size, spec = oracle.enumerate_group(
+        "GOplus", 4, 2, cache_dir=str(tmp_path)
+    )
+    assert closures == [1]
+    assert (order, centre_size, spec.gens) == (72, 1, (4, 6))
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_text(encoding="utf-8") == good
+
+
+def test_enumerate_group_entry_path_is_a_directory(tmp_path) -> None:
+    """A directory where the entry belongs cannot be read (a miss) nor
+    replaced: the write raises UsageError naming the path and leaves no
+    temporary file behind."""
+    entry = tmp_path / "GOplus4q2-3f181c78a766.json"
+    entry.mkdir()
+    with pytest.raises(UsageError, match="cannot write cache entry .*GOplus4q2"):
+        oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.is_dir()
+
+
+def test_engine_is_shared_and_unchanged_by_use() -> None:
+    """One engine per (field, dim), which closure, sampling and the twisted
+    order all use; none of them changes its state."""
+    fld = oracle.field(3, 1)
+    eng = oracle._engine(fld, 4)
+    assert oracle._engine(oracle.field_of_order(3), 4) is eng
+    before = copy.deepcopy(vars(eng))
+    gens = oracle.standard_generators("Sp", 4, 3)
+    group = oracle.close_group(gens)
+    assert group.engine is eng
+    oracle.sample_orders(gens, 20, seed=5)
+    assert vars(eng) == before
+    twisting = oracle._engine(oracle.field(2, 4), 4)
+    before = copy.deepcopy(vars(twisting))
+    assert oracle.twisted_order_b_gamma(4) == 8
+    assert oracle._engine(oracle.field(2, 4), 4) is twisting
+    assert vars(twisting) == before
 
 
 def test_engine_matches_matrix_reference() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -83,6 +84,60 @@ def test_adjacency_matches_spectrum_membership() -> None:
             assert graph.adjacent(r, s) == spectra.contains(spec, r * s), (
                 key, r, s,
             )
+
+
+def test_graph_from_spectrum_matches_pairwise_membership() -> None:
+    """Adjacency read off the generators against spectra.contains on every
+    pair, with vertices that need not be primes (1, 4, 6, ...)."""
+    spec = spectra.SpectrumGens("t", "full", (8, 9, 10, 12))
+    graph = primegraph.graph_from_spectrum(spec, (6, 2, 4, 3))
+    assert graph.vertices == (2, 3, 4, 6)
+    assert graph.edges == ((2, 3), (2, 4), (2, 6), (3, 4))
+    rng = random.Random(29)
+    for _ in range(200):
+        spec = spectra.reduce_gens(rng.sample(range(1, 400), rng.randint(1, 8)))
+        verts = rng.sample(range(1, 30), rng.randint(0, 12))
+        graph = primegraph.graph_from_spectrum(spec, verts)
+        assert graph.edges == tuple(
+            (r, s)
+            for r, s in itertools.combinations(sorted(verts), 2)
+            if spectra.contains(spec, r * s)
+        ), (spec.gens, verts)
+    with pytest.raises(DomainError):
+        primegraph.graph_from_spectrum(spec, (0, 2))
+
+
+def _cocliques_by_filter(graph, size: int) -> list[tuple[int, ...]]:
+    return [
+        combo
+        for combo in itertools.combinations(graph.vertices, size)
+        if primegraph.is_coclique(graph, combo)
+    ]
+
+
+def test_find_cocliques_matches_combinations_filter() -> None:
+    rng = random.Random(31)
+    for _ in range(60):
+        verts = tuple(sorted(rng.sample(range(2, 60), rng.randint(0, 11))))
+        density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+        edges = tuple(
+            e for e in itertools.combinations(verts, 2) if rng.random() < density
+        )
+        graph = primegraph.PrimeGraph("r", "full", verts, edges)
+        for size in (1, 2, 3, 4, 5, len(verts) + 1):
+            assert primegraph.find_cocliques(graph, size) == _cocliques_by_filter(
+                graph, size
+            ), (verts, edges, size)
+
+
+def test_group_order_returns_independent_factorizations() -> None:
+    group = spectra.group_id(SP, 4, 3)
+    first = primegraph.group_order(group)
+    second = primegraph.group_order(group)
+    assert first == second and first is not second
+    assert first.factors is not second.factors
+    first.factors[2] += 1
+    assert primegraph.group_order(group) == second
 
 
 def test_p_prime_graph_excludes_characteristic() -> None:
