@@ -1,12 +1,14 @@
 """Brute-force ground truth: explicit matrix groups over small fields.
 
 Everything the closed-form side claims about spectra can be cross-checked
-here at small parameters: build standard generators, close them under
-multiplication (breadth-first, with elements deduplicated by a packed
-integer key), compute the centre as the group's intersection with the
+here at small parameters: close a fixed pair of words in the standard
+generators under multiplication (breadth-first, with elements deduplicated
+by a packed integer key), check the closure against the group's order
+formula, compute the centre as the group's intersection with the
 generators' commutant algebra (a linear system over GF(q)), read off
 element orders modulo that centre by walking each cyclic subgroup once,
-and compare against the formulas.
+and compare against the formulas.  Sampling draws its random words from
+the full standard generator lists.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import os
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 
 from . import spectra
@@ -635,28 +638,29 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     """The set of element orders of group/centre, as a reduced generator
     list.  With centre None this is the plain order spectrum.
 
-    Each cyclic subgroup is walked once: take an element g still to do and
-    step through g, g^2, ... until g^n lies in the centre.  Then g^j has
-    order n / gcd(j, n) modulo the centre for every j < n, so every power
-    still to do is recorded and struck off, at the cost of one set of
-    tables per walk rather than one per element."""
-    from math import gcd
-
-    centre_keys = _validated_centre_keys(group.engine, group.generators, centre)
+    Each cyclic subgroup modulo the centre is walked once: take an element
+    g still to do and step through g, g^2, ... until g^n lies in the
+    centre.  Every z g^j with z central has an order dividing n modulo the
+    centre, so n is recorded and all of them are struck off, at the cost
+    of one set of tables per walk rather than one per element.  What is
+    struck is always a union of central cosets, so a power already struck
+    needs no translates."""
+    eng = group.engine
+    centre_keys = _validated_centre_keys(eng, group.generators, centre)
     if not centre_keys <= group.key_set:
         raise DomainError("centre argument is not inside the group")
+    shifts = [eng.tables(z) for z in centre_keys if z != eng.identity]
     todo = group.key_set - centre_keys
     seen: set[int] = set()
     while todo:
-        powers = _central_power_walk(
-            group.engine, todo.pop(), centre_keys, len(group)
-        )
-        n = len(powers) + 1
-        seen.add(n)
-        for j in range(2, n):
-            if powers[j - 1] in todo:
-                todo.remove(powers[j - 1])
-                seen.add(n // gcd(j, n))
+        powers = _central_power_walk(eng, todo.pop(), centre_keys, len(group))
+        seen.add(len(powers) + 1)
+        for j, power in enumerate(powers):
+            # powers[0] is the element just popped
+            if j == 0 or power in todo:
+                todo.discard(power)
+                for tabs in shifts:
+                    todo.discard(eng.mul(power, tabs))
     if not seen:
         seen.add(1)
     return spectra.reduce_gens(seen, label=f"enumerated[{len(group)}]")
@@ -894,6 +898,47 @@ def standard_generators(family: str, dim: int, q: int) -> list[MatrixGF]:
     return gens
 
 
+# Two words in standard_generators(family, dim, q), as index tuples, whose
+# products generate the whole group: closing two elements costs two
+# multiplications per group element instead of one per standard generator.
+# Found by a seeded random search; enumerate_group checks every closure
+# against _matrix_group_order.  GO+(4, 2) keeps its two standard generators.
+_PAIR_WORDS = {
+    ("Sp", 4, 2): ((6, 1, 1, 4), (5, 2, 0)),
+    ("Sp", 4, 3): ((0, 6, 5, 0), (3,)),
+    ("Sp", 4, 4): ((10, 5, 13, 9), (3, 8, 11)),
+    ("Sp", 6, 2): ((5, 4, 8, 3), (6, 7, 8, 1)),
+    ("SU", 4, 2): ((2, 5, 1, 4), (4,)),
+    ("GOplus", 4, 2): ((0,), (1,)),
+}
+
+
+def _matrix_group_order(family: str, dim: int, q: int) -> int:
+    """|Sp(dim, q)| = q^(n^2) prod_{i<=n} (q^(2i) - 1) with dim = 2n,
+    |SU(4, q)| = q^6 (q^2 - 1)(q^3 + 1)(q^4 - 1), and |GO+(4, 2)| = 72."""
+    if family == "Sp":
+        n = dim // 2
+        return q ** (n * n) * math.prod(q ** (2 * i) - 1 for i in range(1, n + 1))
+    if family == "SU":
+        return q**6 * (q**2 - 1) * (q**3 + 1) * (q**4 - 1)
+    return 72
+
+
+def _generating_pair(family: str, dim: int, q: int) -> list[MatrixGF]:
+    """The two word products of _PAIR_WORDS for the named group, which lie
+    in it by construction.  Raises ResourceError for the supported groups
+    too large to enumerate, which have no pair."""
+    gens = standard_generators(family, dim, q)
+    words = _PAIR_WORDS.get((family, dim, q))
+    if words is None:
+        raise ResourceError(
+            f"({family}, {dim}, {q}) has "
+            f"{_matrix_group_order(family, dim, q)} elements, too many to "
+            f"enumerate; enumerable: {tuple(_PAIR_WORDS)}"
+        )
+    return [reduce(operator.mul, (gens[i] for i in word)) for word in words]
+
+
 # ---------------------------------------------------------------------------
 # the twisted element of order 8
 
@@ -998,7 +1043,7 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
 
 # Part of every cache file name: a new value makes every entry written under
 # an older format or generator encoding a miss.
-_CACHE_FORMAT = "enumerate_group/2"
+_CACHE_FORMAT = "enumerate_group/3"
 
 
 def enumerate_group(
@@ -1008,16 +1053,19 @@ def enumerate_group(
     cap: int = DEFAULT_CAP,
     cache_dir: str | None = None,
 ):
-    """Close the standard generators, compute the centre, and return
-    (group order, centre size, coset-order spectrum).  Results are cached
-    on disk keyed by a format tag and the generator set when a cache
+    """Close the group's generating pair, compute the centre, and return
+    (group order, centre size, coset-order spectrum).  The closure must
+    reach the order given by the product formula, which proves that the
+    pair generates the group; otherwise AssertionError.  Results are
+    cached on disk keyed by a format tag and the pair when a cache
     directory is available (argument or ORDSPEC_CACHE_DIR).  Entries are
-    written atomically; an entry that does not parse, or whose order,
-    centre size and spectrum do not fit together, counts as a miss and is
-    recomputed and overwritten.  An entry that cannot be read (say, a
-    directory in its place) is a miss too; one that cannot be written
-    raises UsageError naming the path."""
-    gens = standard_generators(family, dim, q)
+    written atomically; an entry that does not parse, whose order is not
+    the formula's, or whose order, centre size and spectrum do not fit
+    together, counts as a miss and is recomputed and overwritten.  An
+    entry that cannot be read (say, a directory in its place) is a miss
+    too; one that cannot be written raises UsageError naming the path."""
+    gens = _generating_pair(family, dim, q)
+    want_order = _matrix_group_order(family, dim, q)
     gen_hash = hashlib.sha256(
         f"{_CACHE_FORMAT}:{[g.rows for g in gens]!r}".encode()
     ).hexdigest()[:12]
@@ -1035,7 +1083,7 @@ def enumerate_group(
             )
             order, centre_size = int(obj["group_order"]), int(obj["centre_size"])
             if (
-                order >= 1
+                order == want_order
                 and centre_size >= 1
                 and order % centre_size == 0
                 and all((order // centre_size) % g == 0 for g in spec.gens)
@@ -1044,6 +1092,11 @@ def enumerate_group(
         except (OSError, KeyError, TypeError, ValueError, DomainError, UsageError):
             pass  # absent or unreadable: recomputed and written below
     group = close_group(gens, cap=cap)
+    if len(group) != want_order:
+        raise AssertionError(
+            f"internal: the pair for ({family}, {dim}, {q}) closes to "
+            f"{len(group)} elements, not {want_order}"
+        )
     centre = centre_of(group)
     spec = element_orders(group, centre)
     if cache_path:

@@ -158,18 +158,21 @@ def reduce_gens(
     part: str = FULL,
     group: GroupId | None = None,
 ) -> SpectrumGens:
-    """Drop duplicates and every value dividing another value."""
-    vals = sorted(set(values))
+    """Drop duplicates and every value dividing another value.
+
+    Values are taken largest first and tested against the kept ones only:
+    a larger value that was dropped divides a kept one, so it never
+    decides alone."""
+    vals = sorted(set(values), reverse=True)
     if not vals:
         raise DomainError("cannot reduce an empty collection")
-    if vals[0] < 1:
-        raise DomainError(f"values must be positive, got {vals[0]}")
-    kept = [
-        v
-        for i, v in enumerate(vals)
-        if not any(w % v == 0 for w in vals[i + 1 :])
-    ]
-    return SpectrumGens(label, part, tuple(kept), group)
+    if vals[-1] < 1:
+        raise DomainError(f"values must be positive, got {vals[-1]}")
+    kept: list[int] = []
+    for v in vals:
+        if not any(w % v == 0 for w in kept):
+            kept.append(v)
+    return SpectrumGens(label, part, tuple(reversed(kept)), group)
 
 
 def contains(spec: SpectrumGens, a: int) -> bool:

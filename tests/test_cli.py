@@ -170,7 +170,7 @@ def test_oracle_enumerate_output(capsys, tmp_path, monkeypatch) -> None:
 
 def test_oracle_enumerate_unwritable_entry_exits_2(capsys, tmp_path, monkeypatch) -> None:
     monkeypatch.setenv("ORDSPEC_CACHE_DIR", str(tmp_path))
-    entry = tmp_path / "GOplus4q2-3f181c78a766.json"
+    entry = tmp_path / "GOplus4q2-9806dafe1b79.json"
     entry.mkdir()
     code, out, err = _run(capsys, "oracle", "enumerate", "GO4plus", "2")
     assert code == 2

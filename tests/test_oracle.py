@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from ordspec import oracle, spectra
+from ordspec import oracle, primegraph, spectra
 from ordspec.errors import DomainError, ResourceError, UsageError
 
 
@@ -284,7 +284,7 @@ def test_enumerate_group_cache_file_name(tmp_path) -> None:
     changed name silently orphans every stored entry, so it is pinned."""
     oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
     assert [f.name for f in tmp_path.iterdir()] == [
-        "GOplus4q2-3f181c78a766.json"
+        "GOplus4q2-9806dafe1b79.json"
     ]
 
 
@@ -353,10 +353,38 @@ def test_element_orders_match_brute_force_walk() -> None:
     want = spectra.reduce_gens(_brute_force_orders(group, centre))
     got = oracle.element_orders(group, centre)
     assert got.gens == want.gens == (2, 3, 5)
+    # SL2(9) mod +-I: the walks strike -g^j along with g^j
+    nine = _sl2(9)
+    nine_centre = oracle.centre_of(nine)
+    want = spectra.reduce_gens(_brute_force_orders(nine, nine_centre))
+    assert oracle.element_orders(nine, nine_centre).gens == want.gens == (3, 4, 5)
     ident = [oracle.MatrixGF.identity(group.field, 2)]
     plain = spectra.reduce_gens(_brute_force_orders(group, ident))
     assert oracle.element_orders(group).gens == plain.gens == (4, 6, 10)
     assert oracle.element_orders(group, ident) == oracle.element_orders(group)
+
+
+def test_element_orders_walks_cover_the_group(monkeypatch) -> None:
+    """Every element outside the centre is a central translate of a power
+    some walk passed: an element struck otherwise could hide an order that
+    no spectrum comparison would notice."""
+    walks = []
+    walk = oracle._central_power_walk
+
+    def recording_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(oracle, "_central_power_walk", recording_walk)
+    sp4_2 = oracle.close_group(oracle.standard_generators("Sp", 4, 2))
+    for group in (_sl2(9), sp4_2):
+        walks.clear()
+        centre = oracle.centre_of(group)
+        oracle.element_orders(group, centre)
+        eng = group.engine
+        shifts = [eng.tables(eng.encode(z.rows)) for z in centre]
+        covered = {eng.mul(p, t) for powers in walks for p in powers for t in shifts}
+        assert covered == group.key_set - {eng.encode(z.rows) for z in centre}
 
 
 def test_power_walk_stops_at_the_bound() -> None:
@@ -457,7 +485,7 @@ def test_enumerate_group_entry_path_is_a_directory(tmp_path) -> None:
     """A directory where the entry belongs cannot be read (a miss) nor
     replaced: the write raises UsageError naming the path and leaves no
     temporary file behind."""
-    entry = tmp_path / "GOplus4q2-3f181c78a766.json"
+    entry = tmp_path / "GOplus4q2-9806dafe1b79.json"
     entry.mkdir()
     with pytest.raises(UsageError, match="cannot write cache entry .*GOplus4q2"):
         oracle.enumerate_group("GOplus", 4, 2, cache_dir=str(tmp_path))
@@ -556,16 +584,70 @@ def test_enumerate_group_rejects_tampered_cache(tmp_path) -> None:
         ("centre_size", 5),
         ("spectrum", {**good["spectrum"], "gens": []}),
     )
-    for field, value in tampered:
-        entry.write_text(json.dumps({**good, field: value}), encoding="utf-8")
+    # consistent in itself (144 = 4 * 36 = 6 * 24) but not the order of
+    # GO+(4, 2), so only the formula order exposes it
+    doubled = {**good, "group_order": "144"}
+    for obj in [{**good, field: value} for field, value in tampered] + [doubled]:
+        entry.write_text(json.dumps(obj), encoding="utf-8")
         order, centre_size, spec = oracle.enumerate_group(
             "GOplus", 4, 2, cache_dir=str(tmp_path)
         )
-        assert (order, centre_size, spec.gens) == (72, 1, (4, 6)), field
+        assert (order, centre_size, spec.gens) == (72, 1, (4, 6)), obj
         assert list(tmp_path.iterdir()) == [entry]
-        assert entry.read_text(encoding="utf-8") == good_text, (field, value)
+        assert entry.read_text(encoding="utf-8") == good_text, obj
     entry.write_text(json.dumps(good), encoding="utf-8")
     order, centre_size, spec = oracle.enumerate_group(
         "GOplus", 4, 2, cache_dir=str(tmp_path)
     )
     assert (order, centre_size, spec.gens) == (72, 1, (4, 6))
+
+
+@pytest.mark.parametrize(
+    "family, dim, q", [("Sp", 4, 2), ("Sp", 4, 3), ("SU", 4, 2), ("GOplus", 4, 2)]
+)
+def test_generating_pair_closes_to_the_whole_group(family, dim, q) -> None:
+    """The pair reaches the product-formula order and agrees with the
+    standard generators on order, centre size and spectrum."""
+    pair = oracle._generating_pair(family, dim, q)
+    assert len(pair) == 2
+    by_pair = oracle.close_group(pair)
+    by_list = oracle.close_group(oracle.standard_generators(family, dim, q))
+    assert len(by_pair) == len(by_list) == oracle._matrix_group_order(family, dim, q)
+    assert by_pair.key_set == by_list.key_set
+    centre = oracle.centre_of(by_pair)
+    assert centre == oracle.centre_of(by_list)
+    assert (
+        oracle.element_orders(by_pair, centre).gens
+        == oracle.element_orders(by_list, centre).gens
+    )
+
+
+def test_matrix_group_order_formulas() -> None:
+    """Against the closed-form side: |Sp(2n, q)| is |S_2n(q)| times the
+    centre size gcd(2, q - 1), and |SU(4, q)| is |GU(4, q)| / (q + 1) with
+    |GU(n, q)| = q^(n(n-1)/2) prod_{i<=n} (q^i - (-1)^i)."""
+    for family, dim, q in oracle.SUPPORTED_GENERATORS:
+        got = oracle._matrix_group_order(family, dim, q)
+        if family == "Sp":
+            simple = primegraph.group_order(spectra.group_id("Sp", dim // 2, q))
+            assert got == simple.value * math.gcd(2, q - 1), (dim, q)
+        elif family == "SU":
+            gu = q**6 * math.prod(q**i - (-1) ** i for i in range(1, 5))
+            assert got == gu // (q + 1), q
+        else:
+            assert got == 72
+    assert set(oracle._PAIR_WORDS) <= set(oracle.SUPPORTED_GENERATORS)
+
+
+def test_enumerate_group_rejects_a_pair_that_generates_less(monkeypatch) -> None:
+    """Negative control: the same word twice generates a cyclic subgroup,
+    which the order check must refuse rather than report."""
+    word = oracle._PAIR_WORDS[("Sp", 4, 3)][0]
+    monkeypatch.setitem(oracle._PAIR_WORDS, ("Sp", 4, 3), (word, word))
+    with pytest.raises(AssertionError, match="internal: .* not 51840"):
+        oracle.enumerate_group("Sp", 4, 3)
+
+
+def test_enumerate_group_without_a_pair_is_a_resource_error() -> None:
+    with pytest.raises(ResourceError, match="9170703360 elements"):
+        oracle.enumerate_group("Sp", 6, 3)

@@ -119,6 +119,30 @@ def test_reduce_gens_properties() -> None:
         spectra.reduce_gens((), label="t", part="full")
 
 
+def _reduce_by_all_later(values) -> tuple[int, ...]:
+    """The quadratic reference: keep v unless some larger value is a
+    multiple of it, whether or not that value is kept itself."""
+    vals = sorted(set(values))
+    return tuple(
+        v
+        for i, v in enumerate(vals)
+        if not any(w % v == 0 for w in vals[i + 1 :])
+    )
+
+
+def test_reduce_gens_matches_quadratic_reference() -> None:
+    rng = random.Random(67)
+    for _ in range(200):
+        top = rng.choice((12, 100, 5000))
+        values = [rng.randint(1, top) for _ in range(rng.randint(1, 40))]
+        assert spectra.reduce_gens(values).gens == _reduce_by_all_later(values)
+    # chains and divisor lattices, where most values divide a dropped one
+    for values in ((1, 2, 4, 8, 16), (2, 3, 6, 12, 18, 36), (5,), (7, 7, 1)):
+        assert spectra.reduce_gens(values).gens == _reduce_by_all_later(values)
+    with pytest.raises(DomainError):
+        spectra.reduce_gens((3, 0, 6))
+
+
 def test_spectrum_gens_validation() -> None:
     with pytest.raises(DomainError):
         spectra.SpectrumGens("x", "full", (4, 8))
