@@ -9,7 +9,6 @@ and is proven deterministic well past every value this package feeds it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -82,16 +81,6 @@ def divisors(a: int) -> list[int]:
     if a < 1:
         raise DomainError(f"divisors of non-positive value {a}")
     return [int(d) for d in _sympy_divisors(a)]
-
-
-def gcd_lcm(values: tuple[int, ...] | list[int]) -> tuple[int, int]:
-    """(gcd, lcm) of a non-empty collection of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise DomainError("gcd_lcm of empty collection")
-    if any(v < 1 for v in vals):
-        raise DomainError(f"gcd_lcm needs positive integers, got {vals}")
-    return math.gcd(*vals) if len(vals) > 1 else vals[0], math.lcm(*vals)
 
 
 def r_part(a: int, r: int) -> int:

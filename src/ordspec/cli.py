@@ -18,15 +18,24 @@ import sys
 
 from . import oracle, primegraph, spectra, verify
 from .errors import OrdspecError, UsageError
-from .spectra import FAMILIES, FULL
-
-PPRIME = "p-prime"
+from .spectra import FAMILIES, FULL, PPRIME
 
 ORACLE_GROUPS = {
     "Sp4": ("Sp", 4),
     "Sp6": ("Sp", 6),
     "SU4": ("SU", 4),
     "GO4plus": ("GOplus", 4),
+}
+
+# verify subcommand -> (check kind, help, choices of its string-valued keys)
+VERIFY_COMMANDS = {
+    "diff": ("diff", "spectrum difference items i..vi",
+             {"item": ("i", "ii", "iii", "iv", "v", "vi")}),
+    "adjacency": ("adjacency", "adjacency bounds",
+                  {"which": ("adj_s", "adj_o", "adj_p"), "family": FAMILIES}),
+    "coclique-witness": ("coclique", "coclique constructions",
+                         {"case": ("n_odd", "n_even", "dplus")}),
+    "go8": ("go8", "the S8(q)/GO8-(q) spectrum equality", {}),
 }
 
 
@@ -86,25 +95,10 @@ def _emit_reports(reports, fmt: str) -> int:
     return 0 if verify.suite_passed(reports) else 1
 
 
-def cmd_verify_diff(args) -> int:
-    return _emit_reports([verify.check_diff(args.item, args.n, args.q)], args.format)
-
-
-def cmd_verify_adjacency(args) -> int:
-    group = spectra.group_id(args.family, args.n, args.q)
-    return _emit_reports(
-        [verify.check_adjacency(args.which, group, args.k)], args.format
-    )
-
-
-def cmd_verify_coclique(args) -> int:
-    return _emit_reports(
-        [verify.check_coclique_witness(args.case, args.n, args.q)], args.format
-    )
-
-
-def cmd_verify_go8(args) -> int:
-    return _emit_reports([verify.check_go8_equality(args.q)], args.format)
+def cmd_verify(args) -> int:
+    keys = verify.CHECKS[args.kind][0]
+    entry = {"kind": args.kind, **{key: getattr(args, key) for key in keys}}
+    return _emit_reports([verify.run_check(entry)], args.format)
 
 
 def cmd_verify_suite(args) -> int:
@@ -184,36 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver = top.add_parser("verify", help="run verification checks")
     vsub = ver.add_subparsers(dest="check", required=True)
 
-    sub = vsub.add_parser("diff", help="spectrum difference items i..vi")
-    sub.add_argument("--item", choices=("i", "ii", "iii", "iv", "v", "vi"),
-                     required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    _add_common_flags(sub, part=False)
-    sub.set_defaults(func=cmd_verify_diff)
-
-    sub = vsub.add_parser("adjacency", help="adjacency bounds")
-    sub.add_argument("--which", choices=("adj_s", "adj_o", "adj_p"),
-                     required=True)
-    sub.add_argument("--family", choices=FAMILIES, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    _add_common_flags(sub, part=False)
-    sub.set_defaults(func=cmd_verify_adjacency)
-
-    sub = vsub.add_parser("coclique-witness", help="coclique constructions")
-    sub.add_argument("--case", choices=("n_odd", "n_even", "dplus"),
-                     required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    _add_common_flags(sub, part=False)
-    sub.set_defaults(func=cmd_verify_coclique)
-
-    sub = vsub.add_parser("go8", help="the S8(q)/GO8-(q) spectrum equality")
-    sub.add_argument("--q", type=int, required=True)
-    _add_common_flags(sub, part=False)
-    sub.set_defaults(func=cmd_verify_go8)
+    for name, (kind, text, choices) in VERIFY_COMMANDS.items():
+        sub = vsub.add_parser(name, help=text)
+        # one flag per grid key of the check kind, in the kind's key order
+        for key in verify.CHECKS[kind][0]:
+            if key in choices:
+                sub.add_argument(f"--{key}", choices=choices[key], required=True)
+            else:
+                sub.add_argument(f"--{key}", type=int, required=True)
+        _add_common_flags(sub, part=False)
+        sub.set_defaults(func=cmd_verify, kind=kind)
 
     sub = vsub.add_parser("suite", help="run a check grid (default: built-in)")
     sub.add_argument("--grid", help="JSON config file")

@@ -670,19 +670,26 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
 # standard generators
 
 
-def _symplectic_form(fld: Field, dim: int) -> MatrixGF:
-    """The alternating form: antidiagonal, +1 above the middle, -1 below."""
-    half = dim // 2
+def _form(family: str, fld: Field, dim: int) -> MatrixGF:
+    """Gram matrix F of the form the family's group preserves: for Sp the
+    alternating form (antidiagonal, +1 above the middle, -1 below), for SU
+    the hermitian antidiagonal of ones, for GOplus the polar form of the
+    quadratic form Q(x) = x1 x2 + x3 x4."""
     rows = [[0] * dim for _ in range(dim)]
     for i in range(dim):
-        rows[i][dim - 1 - i] = 1 if i < half else fld.neg(1)
+        if family == "GOplus":
+            rows[i][i ^ 1] = 1
+        else:
+            rows[i][dim - 1 - i] = (
+                1 if family == "SU" or i < dim // 2 else fld.neg(1)
+            )
     return MatrixGF(fld, rows)
 
 
 def _transvection(fld: Field, dim: int, v, lam: int) -> MatrixGF:
     """x -> x + lam * B(x, v) * v for the alternating form B; preserves the
     form for every v and lam."""
-    j = _symplectic_form(fld, dim)
+    j = _form("Sp", fld, dim)
     jv = [_dot(fld, row, v) for row in j.rows]
     rows = [
         tuple(
@@ -694,22 +701,21 @@ def _transvection(fld: Field, dim: int, v, lam: int) -> MatrixGF:
     return MatrixGF(fld, rows)
 
 
-def preserves_symplectic_form(mat: MatrixGF) -> bool:
-    j = _symplectic_form(mat.field, mat.dim)
-    return mat.transpose() * j * mat == j
-
-
-def _hermitian_form(fld: Field, dim: int) -> MatrixGF:
-    rows = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        rows[i][dim - 1 - i] = 1
-    return MatrixGF(fld, rows)
-
-
-def preserves_hermitian_form(mat: MatrixGF) -> bool:
-    """Whether A * J * conj(A)^T = J for the antidiagonal hermitian form."""
-    j = _hermitian_form(mat.field, mat.dim)
-    return mat * j * mat.conj_entries().transpose() == j
+def preserves_form(family: str, mat: MatrixGF) -> bool:
+    """Whether x -> x g, for g = mat, preserves the family's form:
+    g F sigma(g)^T = F for the Gram matrix F of _form, with sigma the
+    entrywise conjugation for SU and the identity otherwise.  For GOplus
+    it must also preserve Q.  Q(x g) = sum x_i^2 Q(e_i g) plus the polar
+    form's terms, so once the polar form is preserved, Q is preserved
+    exactly when Q(e_i g) = Q(e_i) = 0, with e_i g the i-th row of g."""
+    fld = mat.field
+    f = _form(family, fld, mat.dim)
+    twin = mat.conj_entries() if family == "SU" else mat
+    if mat * f * twin.transpose() != f:
+        return False
+    return family != "GOplus" or all(
+        fld.add(fld.mul(a, b), fld.mul(c, d)) == 0 for a, b, c, d in mat.rows
+    )
 
 
 def _det(mat: MatrixGF) -> int:
@@ -746,11 +752,9 @@ def _sp_generators(fld: Field, dim: int) -> list[MatrixGF]:
         vectors.append(tuple(1 if j == i else 0 for j in range(dim)))
     for i in range(dim - 1):
         vectors.append(tuple(1 if j in (i, i + 1) else 0 for j in range(dim)))
-    gens = []
-    for v in vectors:
-        for lam in _gf_basis(fld):
-            gens.append(_transvection(fld, dim, v, lam))
-    return [g for g in gens if not g.is_identity()]
+    return [
+        _transvection(fld, dim, v, lam) for v in vectors for lam in _gf_basis(fld)
+    ]
 
 
 def _su4_generators(fld: Field) -> list[MatrixGF]:
@@ -777,7 +781,7 @@ def _su4_generators(fld: Field) -> list[MatrixGF]:
     x_s = with_entry({(0, 3): _subfield_code(fld)})
     y_s = with_entry({(0, 1): s, (2, 3): neg_sq})
     z_s = with_entry({(0, 2): s, (1, 3): neg_sq})
-    j = _hermitian_form(fld, 4)
+    j = _form("SU", fld, 4)
     a = fld.gen
     d_a = mat([
         [a, 0, 0, 0],
@@ -802,29 +806,6 @@ _GOPLUS_4_2_ROWS = (
     ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
     ((0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0)),
 )
-
-
-def quadratic_form_plus_4(fld: Field, vec) -> int:
-    """The plus-type quadratic form x1 x2 + x3 x4 on a 4-vector."""
-    x1, x2, x3, x4 = vec
-    return fld.add(fld.mul(x1, x2), fld.mul(x3, x4))
-
-
-def preserves_quadratic_form_plus_4(mat: MatrixGF) -> bool:
-    fld = mat.field
-    cols = tuple(zip(*mat.rows))
-    for code in range(fld.q**4):
-        c = code
-        vec = []
-        for _ in range(4):
-            vec.append(c % fld.q)
-            c //= fld.q
-        image = [
-            _dot(fld, vec, col) for col in cols
-        ]
-        if quadratic_form_plus_4(fld, image) != quadratic_form_plus_4(fld, vec):
-            return False
-    return True
 
 
 SUPPORTED_GENERATORS = (
@@ -880,20 +861,20 @@ def standard_generators(family: str, dim: int, q: int) -> list[MatrixGF]:
     if family == "Sp":
         gens = _sp_generators(field_of_order(q), dim)
         for g in gens:
-            if not preserves_symplectic_form(g):
+            if not preserves_form(family, g):
                 raise AssertionError("internal: transvection broke the form")
         return gens
     if family == "SU":
         fld = field_of_order(q * q)
         gens = _su4_generators(fld)
         for g in gens:
-            if not preserves_hermitian_form(g) or _det(g) != 1:
+            if not preserves_form(family, g) or _det(g) != 1:
                 raise AssertionError("internal: generator outside SU4")
         return gens
     fld = field_of_order(q)
     gens = [MatrixGF(fld, rows) for rows in _GOPLUS_4_2_ROWS]
     for g in gens:
-        if not preserves_quadratic_form_plus_4(g):
+        if not preserves_form(family, g):
             raise AssertionError("internal: generator outside GO+4")
     return gens
 
@@ -979,7 +960,7 @@ def twisted_order_with_t(q: int, t: int) -> int:
     if fld.conj(t) == t:
         raise DomainError(f"t code {t} lies in the subfield GF({q})")
     b = _twisted_b(fld, t)
-    if not preserves_hermitian_form(b) or _det(b) != 1:
+    if not preserves_form("SU", b) or _det(b) != 1:
         raise AssertionError("internal: B(t) outside SU4")
     square = b * b.conj_entries()
     eng = _engine(fld, 4)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,7 +62,7 @@ def group_order(group: GroupId) -> arith.Factorization:
             _factor_qn_plus_1(q, n, fact)
         for i in range(1, n):
             _factor_qn_minus_1(q, 2 * i, fact)
-        denom = arith.gcd_lcm((4, q**n - eps))[0]
+        denom = math.gcd(4, q**n - eps)
         if group.family == spectra.GO8MINUS:
             fact[2] += 1
     while denom > 1:
@@ -196,5 +197,5 @@ def parse_graph(text: str) -> PrimeGraph:
             tuple(int(v) for v in obj["vertices"]),
             tuple((int(r), int(s)) for r, s in obj["edges"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (DomainError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed graph serialization: {exc}") from exc

@@ -41,6 +41,7 @@ GO8MINUS = "GO8minus"
 FAMILIES = (SP, BN, DPLUS, DMINUS, O8PLUS, O8MINUS, GO8MINUS)
 
 FULL = "full"
+PPRIME = "p-prime"
 
 # Generator lists grow with the number of partitions of n; beyond this rank
 # nothing in the verification grids needs them.
@@ -234,8 +235,10 @@ def parse_spectrum(text: str) -> SpectrumGens:
         if "group" in obj:
             g = obj["group"]
             group = GroupId(g["family"], int(g["n"]), int(g["p"]), int(g["m"]))
+            if group_id(group.family, group.n, group.q) != group:
+                raise DomainError(f"{group} is not a group that group_id builds")
         return SpectrumGens(label, part, gens, group)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (DomainError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed spectrum serialization: {exc}") from exc
 
 

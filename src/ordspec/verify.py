@@ -2,6 +2,12 @@
 arguments consume: spectrum differences, adjacency bounds, coclique
 witnesses, and the GO8- isospectrality, each as a check emitting a report.
 
+Each kind of check is one row of CHECKS: the grid keys it reads and the
+runner that calls its check_* function.  run_check runs one grid entry, and
+both run_suite and the command line go through it; run_suite first checks
+every entry's kind, keys and value types, then turns any exception a check
+raises into a failed report.
+
 Verdicts:
 
 * pass/fail: decided against materialized spectra; every fail carries a
@@ -16,12 +22,16 @@ Verdicts:
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
-from . import arith, oracle, primegraph, spectra, zsigmondy
+from . import oracle, primegraph, spectra, zsigmondy
 from .errors import DomainError, OrdspecError, UsageError
-from .spectra import BN, DMINUS, DPLUS, FULL, GO8MINUS, O8MINUS, O8PLUS, SP
+from .spectra import (
+    BN, DMINUS, DPLUS, FULL, GO8MINUS, O8MINUS, O8PLUS, PPRIME, SP,
+    SpectrumGens,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -63,6 +73,27 @@ def _claim_bool(statement: str, ok: bool, witness: tuple[int, ...]) -> Claim:
     return Claim(statement, PASS if ok else FAIL, () if ok else witness)
 
 
+def _member_claim(
+    statement: str, spec: SpectrumGens, x: int, inside: bool = True
+) -> Claim:
+    """Whether x lies in spec's set (inside) or avoids it; a failure's
+    witness is x."""
+    return _claim_bool(statement, spectra.contains(spec, x) == inside, (x,))
+
+
+def _sub_claim(statement: str, a: SpectrumGens, b: SpectrumGens) -> Claim:
+    """Whether a's set lies in b's; a failure's witness is a generator of a
+    outside b."""
+    ok, witness = spectra.is_sub_spectrum(a, b)
+    return _claim_bool(statement, ok, (witness,))
+
+
+def _hypothesis_claim(statement: str, k: int, n: int) -> Claim:
+    """The cited adjacency bound's hypothesis on k, the order of q modulo r:
+    k odd with k > n - 2, or k even with k/2 > n - 2."""
+    return _claim_bool(statement, (k if k % 2 else k // 2) > n - 2, (k,))
+
+
 def serialize_report(report: CheckReport, include_timing: bool = False) -> str:
     """Canonical JSON; identical checks serialize byte-identically (timing
     is excluded unless asked for)."""
@@ -101,7 +132,7 @@ def parse_report(text: str) -> CheckReport:
             claims,
             float(obj.get("elapsed", 0.0)),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (DomainError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed report serialization: {exc}") from exc
 
 
@@ -157,13 +188,11 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
             claims.append(Claim(f"R_{level}({q}) is empty", VACUOUS))
         for r in rs:
             x = 2 * p * r
-            claims.append(_claim_bool(
-                f"2p r = {x} (r={r}) lies in {sp.label} spectrum",
-                spectra.contains(sp, x), (x,),
+            claims.append(_member_claim(
+                f"2p r = {x} (r={r}) lies in {sp.label} spectrum", sp, x,
             ))
-            claims.append(_claim_bool(
-                f"2p r = {x} (r={r}) avoids {bn.label} spectrum",
-                not spectra.contains(bn, x), (x,),
+            claims.append(_member_claim(
+                f"2p r = {x} (r={r}) avoids {bn.label} spectrum", bn, x, inside=False,
             ))
         for r in zsigmondy.primitive_prime_divisors(q, other):
             x = 2 * p * r
@@ -173,41 +202,36 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
                 f"{spectra.contains(bn, x)}",
                 INFO,
             ))
-        return _timed(check_id, params, claims, t0)
-
-    if item == "ii":
+    elif item == "ii":
         if n < 4:
             raise DomainError("item (ii) needs n >= 4")
         if (n, q) == (4, 2):
             raise DomainError("item (ii) excludes (n, q) = (4, 2)")
         bn = spectra.spectrum(spectra.group_id(BN, n, q))
         levels = [2 * n - 2] + ([n - 1] if n % 2 == 0 else [])
+        direct = n == 4 and p == 2
         for k in levels:
             rs = zsigmondy.primitive_prime_divisors(q, k)
             if not rs:
                 claims.append(Claim(f"R_{k}({q}) is empty", VACUOUS))
                 continue
-            direct = n == 4 and p == 2
-            if not direct:
-                hyp = (k % 2 == 1 and k > n - 2) or (
-                    k % 2 == 0 and k // 2 > n - 2
-                )
-                claims.append(_claim_bool(
+            if direct:
+                dm = spectra.spectrum(spectra.group_id(O8MINUS, 4, q))
+            else:
+                claims.append(_hypothesis_claim(
                     f"adjacency-bound hypothesis for k={k}: odd k > n-2 "
                     f"or even k with k/2 > n-2",
-                    hyp, (k,),
+                    k, n,
                 ))
             for r in rs:
                 x = p * r
-                claims.append(_claim_bool(
+                claims.append(_member_claim(
                     f"p r = {x} (r={r} of order {k}) lies in {bn.label} spectrum",
-                    spectra.contains(bn, x), (x,),
+                    bn, x,
                 ))
                 if direct:
-                    dm = spectra.spectrum(spectra.group_id(O8MINUS, 4, q))
-                    claims.append(_claim_bool(
-                        f"p r = {x} avoids {dm.label} spectrum",
-                        not spectra.contains(dm, x), (x,),
+                    claims.append(_member_claim(
+                        f"p r = {x} avoids {dm.label} spectrum", dm, x, inside=False,
                     ))
                 else:
                     claims.append(Claim(
@@ -216,54 +240,41 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
                         "form at these parameters)",
                         ASSUMED,
                     ))
-        return _timed(check_id, params, claims, t0)
-
-    if item == "iii":
+    elif item == "iii":
         if q <= 3:
             raise DomainError("item (iii) needs q > 3")
         d2 = 2 if p != 2 else 1
         x = (q**4 - 1) // d2**2
         o8p = spectra.spectrum(spectra.group_id(O8PLUS, 4, q))
         s6 = spectra.spectrum(spectra.group_id(SP, 3, q))
-        claims.append(_claim_bool(
-            f"(q^4-1)/(2,q-1)^2 = {x} lies in {o8p.label} spectrum",
-            spectra.contains(o8p, x), (x,),
+        claims.append(_member_claim(
+            f"(q^4-1)/(2,q-1)^2 = {x} lies in {o8p.label} spectrum", o8p, x,
         ))
-        claims.append(_claim_bool(
-            f"{x} avoids {s6.label} spectrum",
-            not spectra.contains(s6, x), (x,),
+        claims.append(_member_claim(
+            f"{x} avoids {s6.label} spectrum", s6, x, inside=False,
         ))
-        return _timed(check_id, params, claims, t0)
-
-    if item == "iv":
+    elif item == "iv":
         if p == 2:
             raise DomainError("item (iv) needs odd q")
         x = p * (q**2 + 1)
         s6 = spectra.spectrum(spectra.group_id(SP, 3, q))
         o8p = spectra.spectrum(spectra.group_id(O8PLUS, 4, q))
-        claims.append(_claim_bool(
-            f"p(q^2+1) = {x} lies in {s6.label} spectrum",
-            spectra.contains(s6, x), (x,),
+        claims.append(_member_claim(
+            f"p(q^2+1) = {x} lies in {s6.label} spectrum", s6, x,
         ))
-        claims.append(_claim_bool(
-            f"{x} avoids {o8p.label} spectrum",
-            not spectra.contains(o8p, x), (x,),
+        claims.append(_member_claim(
+            f"{x} avoids {o8p.label} spectrum", o8p, x, inside=False,
         ))
-        return _timed(check_id, params, claims, t0)
-
-    if item == "v":
+    elif item == "v":
         if n < 2:
             raise DomainError("item (v) needs n >= 2")
         lower = spectra.spectrum(_bn_or_sp(n, q))
         upper = spectra.spectrum(spectra.group_id(SP, n, q))
-        ok, wit = spectra.is_sub_spectrum(lower, upper)
-        claims.append(_claim_bool(
+        claims.append(_sub_claim(
             f"spectrum of O{2*n+1}({q}) is contained in that of S{2*n}({q})",
-            ok, (wit,) if wit else (0,),
+            lower, upper,
         ))
-        return _timed(check_id, params, claims, t0)
-
-    if item == "vi":
+    elif item == "vi":
         if n < 4:
             raise DomainError(
                 "item (vi) is checked for n >= 4 (the semisimple closed form "
@@ -273,15 +284,13 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
         high = spectra.spectrum_p_prime(spectra.group_id(BN, n, q))
         for fam, eps_name in ((DPLUS, "+"), (DMINUS, "-")):
             mid = spectra.spectrum_p_prime(spectra.group_id(fam, n, q))
-            ok1, w1 = spectra.is_sub_spectrum(low, mid)
-            claims.append(_claim_bool(
+            claims.append(_sub_claim(
                 f"p'-spectrum of O{2*n-1}({q}) within that of O{2*n}{eps_name}({q})",
-                ok1, (w1,) if w1 else (0,),
+                low, mid,
             ))
-            ok2, w2 = spectra.is_sub_spectrum(mid, high)
-            claims.append(_claim_bool(
+            claims.append(_sub_claim(
                 f"p'-spectrum of O{2*n}{eps_name}({q}) within that of O{2*n+1}({q})",
-                ok2, (w2,) if w2 else (0,),
+                mid, high,
             ))
         if n == 4:
             lo_full = spectra.spectrum(_bn_or_sp(3, q))
@@ -290,27 +299,30 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
             if p == 2:
                 mids.append(spectra.spectrum(spectra.group_id(O8MINUS, 4, q)))
             for mid in mids:
-                ok1, w1 = spectra.is_sub_spectrum(lo_full, mid)
-                claims.append(_claim_bool(
+                claims.append(_sub_claim(
                     f"full spectrum of O7({q}) within that of {mid.label}",
-                    ok1, (w1,) if w1 else (0,),
+                    lo_full, mid,
                 ))
-                ok2, w2 = spectra.is_sub_spectrum(mid, hi_full)
-                claims.append(_claim_bool(
+                claims.append(_sub_claim(
                     f"full spectrum of {mid.label} within that of O9({q})",
-                    ok2, (w2,) if w2 else (0,),
+                    mid, hi_full,
                 ))
-        return _timed(check_id, params, claims, t0)
-
-    raise DomainError(f"unknown diff item {item!r}; expected i..vi")
+    else:
+        raise DomainError(f"unknown diff item {item!r}; expected i..vi")
+    return _timed(check_id, params, claims, t0)
 
 
 # ---------------------------------------------------------------------------
 # adjacency checks
 
 
-def _divides_some(value: int, targets) -> bool:
-    return any(t % value == 0 for t in targets)
+def _order_k_primes(group: spectra.GroupId, k: int) -> list[int]:
+    """The primes of R_k(q) (q of order k modulo r) that divide |group|."""
+    order_primes = set(primegraph.group_order(group).primes)
+    return [
+        r for r in zsigmondy.primitive_prime_divisors(group.q, k)
+        if r in order_primes
+    ]
 
 
 def check_adjacency(which: str, group: spectra.GroupId, k: int) -> CheckReport:
@@ -320,6 +332,37 @@ def check_adjacency(which: str, group: spectra.GroupId, k: int) -> CheckReport:
     check_id = f"adj:{which}:{group.name()}:k{k}"
     claims: list[Claim] = []
 
+    if which == "adj_p":
+        if group.family not in (DPLUS, DMINUS, O8PLUS, O8MINUS):
+            raise DomainError("adj_p applies to O_2n^+-(q)")
+        claims.append(_hypothesis_claim(
+            f"hypothesis: k={k} odd with k > n-2, or even with k/2 > n-2",
+            k, n,
+        ))
+        rs = _order_k_primes(group, k)
+        if not rs:
+            claims.append(Claim(f"R_{k}({q}) meets no prime of the order", VACUOUS))
+        full_available = (
+            group.family in (O8PLUS, O8MINUS)
+            or (group.family == DPLUS and n == 4)
+            or (group.family == DMINUS and n == 4 and p == 2)
+        )
+        for r in rs:
+            if full_available:
+                spec_full = spectra.spectrum(group)
+                claims.append(_member_claim(
+                    f"r p = {r * p} avoids the {group.name()} spectrum",
+                    spec_full, r * p, inside=False,
+                ))
+            else:
+                claims.append(Claim(
+                    f"r p = {r * p} avoids the {group.name()} spectrum: "
+                    "assumed from the cited adjacency bound (hypothesis "
+                    "checked above; no full closed form here)",
+                    ASSUMED,
+                ))
+        return _timed(check_id, params, claims, t0)
+
     if which == "adj_s":
         if group.family not in (SP, BN):
             raise DomainError("adj_s applies to S_2n(q)/O_2n+1(q)")
@@ -327,25 +370,16 @@ def check_adjacency(which: str, group: spectra.GroupId, k: int) -> CheckReport:
             raise DomainError("adj_s needs n >= 5")
         if k <= 2:
             raise DomainError("adj_s needs k > 2")
-        d2 = 2 if p != 2 else 1
         if k == 2 * n:
-            targets = [(q**n + 1) // d2]
-        elif k == 2 * n - 2:
-            targets = [
-                arith.gcd_lcm((q ** (n - 1) + 1, q + 1))[1],
-                arith.gcd_lcm((q ** (n - 1) + 1, q - 1))[1],
-            ]
-        elif k == n - 1 and n % 2 == 0:
-            targets = [
-                arith.gcd_lcm((q ** (n - 1) - 1, q + 1))[1],
-                arith.gcd_lcm((q ** (n - 1) - 1, q - 1))[1],
-            ]
+            targets = [(q**n + 1) // (2 if p != 2 else 1)]
+        elif k == 2 * n - 2 or (k == n - 1 and n % 2 == 0):
+            a = q ** (n - 1) + (1 if k == 2 * n - 2 else -1)
+            targets = [math.lcm(a, q + 1), math.lcm(a, q - 1)]
         else:
             raise DomainError(
                 f"adj_s branch k={k} not covered (want 2n, 2n-2, or n-1 "
                 "with n even)"
             )
-        spec = spectra.spectrum_p_prime(group)
     elif which == "adj_o":
         if group.family != DPLUS:
             raise DomainError("adj_o applies to O_2n+(q)")
@@ -357,56 +391,20 @@ def check_adjacency(which: str, group: spectra.GroupId, k: int) -> CheckReport:
             targets = [q ** (n - 1) - 1]
         else:
             raise DomainError(f"adj_o branch k={k} not covered (want 2n-2 or n-1)")
-        spec = spectra.spectrum_p_prime(group)
-    elif which == "adj_p":
-        if group.family not in (DPLUS, DMINUS, O8PLUS, O8MINUS):
-            raise DomainError("adj_p applies to O_2n^+-(q)")
-        hyp = (k % 2 == 1 and k > n - 2) or (k % 2 == 0 and k // 2 > n - 2)
-        claims.append(_claim_bool(
-            f"hypothesis: k={k} odd with k > n-2, or even with k/2 > n-2",
-            hyp, (k,),
-        ))
-        order_primes = set(primegraph.group_order(group).primes)
-        rs = [
-            r
-            for r in zsigmondy.primitive_prime_divisors(q, k)
-            if r in order_primes
-        ]
-        if not rs:
-            claims.append(Claim(f"R_{k}({q}) meets no prime of the order", VACUOUS))
-        full_available = (
-            group.family in (O8PLUS, O8MINUS)
-            or (group.family == DPLUS and n == 4)
-            or (group.family == DMINUS and n == 4 and p == 2)
-        )
-        for r in rs:
-            if full_available:
-                spec_full = spectra.spectrum(group)
-                claims.append(_claim_bool(
-                    f"r p = {r * p} avoids the {group.name()} spectrum",
-                    not spectra.contains(spec_full, r * p), (r * p,),
-                ))
-            else:
-                claims.append(Claim(
-                    f"r p = {r * p} avoids the {group.name()} spectrum: "
-                    "assumed from the cited adjacency bound (hypothesis "
-                    "checked above; no full closed form here)",
-                    ASSUMED,
-                ))
-        return _timed(check_id, params, claims, t0)
     else:
         raise DomainError(f"unknown adjacency check {which!r}")
 
-    order_primes = set(primegraph.group_order(group).primes)
-    rs = [
-        r for r in zsigmondy.primitive_prime_divisors(q, k) if r in order_primes
-    ]
+    spec = spectra.spectrum_p_prime(group)
+    rs = _order_k_primes(group, k)
     if not rs:
         claims.append(Claim(
             f"R_{k}({q}) contains no prime of the group order", VACUOUS
         ))
     for r in rs:
-        bad = [g for g in spec.gens if g % r == 0 and not _divides_some(g, targets)]
+        bad = [
+            g for g in spec.gens
+            if g % r == 0 and not any(t % g == 0 for t in targets)
+        ]
         claims.append(_claim_bool(
             f"every generator of the {spec.part} spectrum of {group.name()} "
             f"divisible by r={r} divides one of {targets}",
@@ -420,61 +418,45 @@ def check_adjacency(which: str, group: spectra.GroupId, k: int) -> CheckReport:
 
 
 def _witness_prime_sets(case: str, n: int, q: int):
-    """The three primitive-divisor pools (s, r, w) for each witness case."""
+    """The three primitive-divisor pools of each witness case, named and in
+    the order the triples take them ((s, r, w); (w, r, s) for dplus), and
+    the r1 and r2 pools whose union is the r pool of the even cases (empty
+    for n_odd)."""
     p, m = spectra.split_prime_power(q)
+    ppd = zsigmondy.primitive_prime_divisors
     if case == "n_odd":
         if n < 5 or n % 2 == 0:
             raise DomainError("case n_odd needs odd n >= 5")
-        s_pool = zsigmondy.primitive_prime_divisors(q, 2 * n - 2)
-        r_pool = zsigmondy.primitive_prime_divisors(p, n * m)
-        w_pool = zsigmondy.primitive_prime_divisors(q, 2 * n)
-        return (
-            (f"R_{2*n-2}({q})", s_pool),
-            (f"R_{n*m}({p})", r_pool),
-            (f"R_{2*n}({q})", w_pool),
+        pools = (
+            (f"R_{2*n-2}({q})", ppd(q, 2 * n - 2)),
+            (f"R_{n*m}({p})", ppd(p, n * m)),
+            (f"R_{2*n}({q})", ppd(q, 2 * n)),
         )
-    if case in ("n_even", "dplus"):
-        if n < 6 or n % 2:
-            raise DomainError(f"case {case} needs even n >= 6")
-        if (n, q) == (8, 2):
-            r_pool = tuple(sorted(
-                set(zsigmondy.primitive_prime_divisors(2, 3))
-                | set(zsigmondy.primitive_prime_divisors(2, 5))
-            ))
-            r_name = "R_3(2) u R_5(2) [the (8,2) substitution]"
-        else:
-            r_pool = tuple(sorted(
-                set(zsigmondy.primitive_prime_divisors(p, (n - 2) * m))
-                | set(zsigmondy.primitive_prime_divisors(p, (n + 2) * m))
-            ))
-            r_name = f"R_{(n-2)*m}({p}) u R_{(n+2)*m}({p})"
-        s_pool = zsigmondy.primitive_prime_divisors(q, 2 * n - 2)
-        w_pool = zsigmondy.primitive_prime_divisors(q, n - 1)
-        if case == "n_even":
-            return (
-                (f"R_{2*n-2}({q})", s_pool),
-                (r_name, r_pool),
-                (f"R_{n-1}({q})", w_pool),
-            )
-        return (
-            (f"R_{n-1}({q})", w_pool),
-            (r_name, r_pool),
-            (f"R_{2*n-2}({q})", s_pool),
-        )
-    raise DomainError(f"unknown coclique case {case!r}")
+        return pools, (), ()
+    if case not in ("n_even", "dplus"):
+        raise DomainError(f"unknown coclique case {case!r}")
+    if n < 6 or n % 2:
+        raise DomainError(f"case {case} needs even n >= 6")
+    if (n, q) == (8, 2):
+        r1s, r2s = ppd(2, 3), ppd(2, 5)
+        r_name = "R_3(2) u R_5(2) [the (8,2) substitution]"
+    else:
+        r1s, r2s = ppd(p, (n - 2) * m), ppd(p, (n + 2) * m)
+        r_name = f"R_{(n-2)*m}({p}) u R_{(n+2)*m}({p})"
+    s = (f"R_{2*n-2}({q})", ppd(q, 2 * n - 2))
+    r = (r_name, tuple(sorted(set(r1s) | set(r2s))))
+    w = (f"R_{n-1}({q})", ppd(q, n - 1))
+    return ((s, r, w) if case == "n_even" else (w, r, s)), r1s, r2s
 
 
 def check_coclique_witness(case: str, n: int, q: int) -> CheckReport:
     t0 = time.perf_counter()
-    p, m = spectra.split_prime_power(q)
+    p, _ = spectra.split_prime_power(q)
     params = {"case": case, "n": n, "q": q}
     check_id = f"coclique:{case}:n{n}:q{q}"
-    claims: list[Claim] = []
-    pools = _witness_prime_sets(case, n, q)
-    for name, pool in pools:
-        if not pool:
-            claims.append(Claim(f"{name} is empty", VACUOUS))
-    if any(not pool for _, pool in pools):
+    pools, r1s, r2s = _witness_prime_sets(case, n, q)
+    claims = [Claim(f"{name} is empty", VACUOUS) for name, pool in pools if not pool]
+    if claims:
         return _timed(check_id, params, claims, t0)
 
     if case == "dplus":
@@ -509,51 +491,39 @@ def check_coclique_witness(case: str, n: int, q: int) -> CheckReport:
                         not bad, bad,
                     ))
 
+    # r1 r2 membership (even cases): inside every candidate for the big
+    # group, outside every candidate for the socle one step below it; then
+    # p w avoidance for w of order 2n (n_odd, n_even)
     if case == "n_odd":
-        for _, spec in big_specs:
-            for w in pools[2][1]:
-                claims.append(_claim_bool(
-                    f"p w = {p * w} (w={w}) avoids the spectrum of {spec.label}",
-                    not spectra.contains(spec, p * w), (p * w,),
-                ))
-        return _timed(check_id, params, claims, t0)
-
-    # r1 r2 membership: inside every candidate for the big group, outside
-    # every candidate for the socle one step below it.
-    if case == "n_even":
+        smalls, avoid_pool = [], pools[2][1]
+    elif case == "n_even":
         smalls = [spectra.spectrum_p_prime(spectra.group_id(DMINUS, n, q))]
-        p_avoid_pool = zsigmondy.primitive_prime_divisors(q, 2 * n)
+        avoid_pool = zsigmondy.primitive_prime_divisors(q, 2 * n)
     else:
         smalls = [spectra.spectrum(spectra.group_id(SP, n - 1, q))]
         if p != 2:
             smalls.append(spectra.spectrum(spectra.group_id(BN, n - 1, q)))
-        p_avoid_pool = ()
-    if (n, q) == (8, 2):
-        r1s = zsigmondy.primitive_prime_divisors(2, 3)
-        r2s = zsigmondy.primitive_prime_divisors(2, 5)
-    else:
-        r1s = zsigmondy.primitive_prime_divisors(p, (n - 2) * m)
-        r2s = zsigmondy.primitive_prime_divisors(p, (n + 2) * m)
+        avoid_pool = ()
     for r1 in r1s:
         for r2 in r2s:
             x = r1 * r2
             for _, spec in big_specs:
-                claims.append(_claim_bool(
+                claims.append(_member_claim(
                     f"r1 r2 = {x} lies in the {spec.part} spectrum of "
                     f"{spec.label}",
-                    spectra.contains(spec, x), (x,),
+                    spec, x,
                 ))
             for small in smalls:
-                claims.append(_claim_bool(
+                claims.append(_member_claim(
                     f"r1 r2 = {x} avoids the {small.part} spectrum of "
                     f"{small.label}",
-                    not spectra.contains(small, x), (x,),
+                    small, x, inside=False,
                 ))
     for _, spec in big_specs:
-        for w in p_avoid_pool:
-            claims.append(_claim_bool(
+        for w in avoid_pool:
+            claims.append(_member_claim(
                 f"p w = {p * w} (w={w}) avoids the spectrum of {spec.label}",
-                not spectra.contains(spec, p * w), (p * w,),
+                spec, p * w, inside=False,
             ))
     return _timed(check_id, params, claims, t0)
 
@@ -577,14 +547,11 @@ def check_go8_equality(q: int) -> CheckReport:
         8 * (q + 1), 8 * (q - 1),
     ]
     for e in extras:
-        claims.append(_claim_bool(
-            f"extra generator {e} lies in the {sp8.label} spectrum",
-            spectra.contains(sp8, e), (e,),
+        claims.append(_member_claim(
+            f"extra generator {e} lies in the {sp8.label} spectrum", sp8, e,
         ))
-    ok, wit = spectra.is_sub_spectrum(sp8, go8)
-    claims.append(_claim_bool(
-        f"spectrum of {sp8.label} within that of {go8.label}",
-        ok, (wit,) if wit else (0,),
+    claims.append(_sub_claim(
+        f"spectrum of {sp8.label} within that of {go8.label}", sp8, go8,
     ))
     claims.append(_claim_bool(
         f"spectra of {go8.label} and {sp8.label} are equal",
@@ -621,11 +588,10 @@ def check_membership(
         if part == FULL
         else spectra.spectrum_p_prime(group)
     )
-    got = spectra.contains(spec, value)
-    claims = [_claim_bool(
+    claims = [_member_claim(
         f"{value} {'lies in' if expected else 'avoids'} the {spec.part} "
         f"spectrum of {spec.label}",
-        got == expected, (value,),
+        spec, value, inside=expected,
     )]
     check_id = f"member:{group.name()}:{part}:{value}"
     params = {"family": family, "n": n, "q": q, "value": value,
@@ -683,18 +649,58 @@ def default_config() -> dict:
     return {"checks": checks}
 
 
-_REQUIRED_KEYS = {
-    "diff": {"item", "n", "q"},
-    "adjacency": {"which", "family", "n", "q", "k"},
-    "coclique": {"case", "n", "q"},
-    "go8": {"q"},
-    "membership": {"family", "n", "q", "value", "expected"},
+# kind -> (grid keys the check needs, runner).  A runner looks its check_*
+# function up in this module when it runs, so a replaced module attribute
+# (a test's stand-in, a tracer's wrapper) is the one called.
+CHECKS = {
+    "diff": (
+        ("item", "n", "q"),
+        lambda e: check_diff(e["item"], e["n"], e["q"]),
+    ),
+    "adjacency": (
+        ("which", "family", "n", "q", "k"),
+        lambda e: check_adjacency(
+            e["which"], spectra.group_id(e["family"], e["n"], e["q"]), e["k"]
+        ),
+    ),
+    "coclique": (
+        ("case", "n", "q"),
+        lambda e: check_coclique_witness(e["case"], e["n"], e["q"]),
+    ),
+    "go8": (("q",), lambda e: check_go8_equality(e["q"])),
+    "membership": (
+        ("family", "n", "q", "value", "expected"),
+        lambda e: check_membership(
+            e["family"], e["n"], e["q"], e["value"], e["expected"],
+            e.get("part", FULL),
+        ),
+    ),
 }
+
+# The grid values of fixed JSON type, as (what they must be, test); a JSON
+# boolean is not an integer here.
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_GRID_VALUES = {
+    "n": _INTEGER,
+    "q": _INTEGER,
+    "k": _INTEGER,
+    "value": _INTEGER,
+    "expected": ("true or false", lambda v: type(v) is bool),
+    "part": (f"{FULL!r} or {PPRIME!r}", lambda v: v in (FULL, PPRIME)),
+}
+
+
+def run_check(entry: dict) -> CheckReport:
+    """Run one grid entry, {"kind": ..., <its keys>}, through its row of
+    CHECKS; a check's exceptions propagate."""
+    return CHECKS[entry["kind"]][1](entry)
 
 
 def run_suite(config: dict) -> list[CheckReport]:
     """Execute every configured check; failures become failed reports, never
-    aborts.  Malformed configuration raises UsageError naming the entry."""
+    aborts.  Malformed configuration (an unknown kind, a missing key, a
+    value of the wrong type) raises UsageError naming the entry before any
+    check runs."""
     if not isinstance(config, dict) or "checks" not in config:
         raise UsageError('config must be an object with a "checks" list')
     entries = config["checks"]
@@ -704,41 +710,28 @@ def run_suite(config: dict) -> list[CheckReport]:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise UsageError(f'checks[{i}] must be an object with a "kind"')
         kind = entry["kind"]
-        if kind not in _REQUIRED_KEYS:
+        if not isinstance(kind, str) or kind not in CHECKS:
             raise UsageError(f"checks[{i}]: unknown kind {kind!r}")
-        missing = _REQUIRED_KEYS[kind] - set(entry)
+        missing = set(CHECKS[kind][0]) - set(entry)
         if missing:
             raise UsageError(
                 f"checks[{i}] ({kind}): missing keys {sorted(missing)}"
             )
+        for key, (want, valid) in _GRID_VALUES.items():
+            if key in entry and not valid(entry[key]):
+                raise UsageError(
+                    f"checks[{i}] ({kind}): {key} must be {want}, "
+                    f"got {entry[key]!r}"
+                )
     reports = []
     for i, entry in enumerate(entries):
-        kind = entry["kind"]
         try:
-            if kind == "diff":
-                rep = check_diff(entry["item"], int(entry["n"]), int(entry["q"]))
-            elif kind == "adjacency":
-                group = spectra.group_id(
-                    entry["family"], int(entry["n"]), int(entry["q"])
-                )
-                rep = check_adjacency(entry["which"], group, int(entry["k"]))
-            elif kind == "coclique":
-                rep = check_coclique_witness(
-                    entry["case"], int(entry["n"]), int(entry["q"])
-                )
-            elif kind == "go8":
-                rep = check_go8_equality(int(entry["q"]))
-            else:
-                rep = check_membership(
-                    entry["family"], int(entry["n"]), int(entry["q"]),
-                    int(entry["value"]), bool(entry["expected"]),
-                    entry.get("part", FULL),
-                )
+            rep = run_check(entry)
         except Exception as exc:  # noqa: BLE001 - a faulty check is a FAIL
             # anticipated errors keep their message; anything else is named
             what = "" if isinstance(exc, OrdspecError) else f" {type(exc).__name__}"
             rep = CheckReport(
-                f"{kind}[{i}]", dict(entry),
+                f"{entry['kind']}[{i}]", dict(entry),
                 (Claim(f"check raised{what}: {exc}", FAIL, (0,)),),
             )
         reports.append(rep)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -66,16 +65,6 @@ def test_divisors() -> None:
     assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
     with pytest.raises(DomainError):
         arith.divisors(0)
-
-
-def test_gcd_lcm() -> None:
-    assert arith.gcd_lcm([6, 10]) == (2, 30)
-    assert arith.gcd_lcm((7,)) == (7, 7)
-    assert arith.gcd_lcm([4, 6, 10]) == (2, 60)
-    with pytest.raises(DomainError):
-        arith.gcd_lcm([])
-    with pytest.raises(DomainError):
-        arith.gcd_lcm([6, 0])
 
 
 def test_r_part_and_coprime_part() -> None:
@@ -160,13 +149,3 @@ def test_is_prime_and_prime_divisors() -> None:
     assert not arith.is_prime(1)
     assert not arith.is_prime(91)
     assert arith.prime_divisors(84) == (2, 3, 7)
-
-
-def test_gcd_lcm_agrees_with_math_module() -> None:
-    rng = random.Random(17)
-    for _ in range(60):
-        vals = [rng.randint(1, 10**4) for _ in range(rng.randint(1, 5))]
-        g, l = arith.gcd_lcm(vals)
-        assert g == math.gcd(*vals) if len(vals) > 1 else vals[0]
-        assert l == math.lcm(*vals)
-        assert all(v % g == 0 and l % v == 0 for v in vals)

@@ -109,6 +109,26 @@ def test_verify_diff_structured_round_trips(capsys) -> None:
     assert report.passed
 
 
+def test_verify_structured_equals_the_suite_report(capsys) -> None:
+    # one entry per verify subcommand, run once through the CLI and once as
+    # a suite grid: the canonical report must be the same
+    for argv, entry in (
+        (("diff", "--item", "vi", "--n", "4", "--q", "2"),
+         {"kind": "diff", "item": "vi", "n": 4, "q": 2}),
+        (("adjacency", "--which", "adj_p", "--family", "O8plus", "--n", "4",
+          "--q", "5", "--k", "4"),
+         {"kind": "adjacency", "which": "adj_p", "family": "O8plus", "n": 4,
+          "q": 5, "k": 4}),
+        (("coclique-witness", "--case", "dplus", "--n", "6", "--q", "3"),
+         {"kind": "coclique", "case": "dplus", "n": 6, "q": 3}),
+        (("go8", "--q", "4"), {"kind": "go8", "q": 4}),
+    ):
+        code, out, _ = _run(capsys, "verify", *argv, "--format", "structured")
+        (report,) = verify.run_suite({"checks": [entry]})
+        assert out == verify.serialize_report(report) + "\n", argv
+        assert code == (0 if report.passed else 1)
+
+
 def test_verify_failing_check_exits_1(capsys) -> None:
     code, out, _ = _run(
         capsys, "verify", "adjacency", "--which", "adj_p",

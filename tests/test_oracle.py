@@ -124,7 +124,20 @@ def test_transvections_preserve_symplectic_form() -> None:
         if family != "Sp":
             continue
         for g in oracle.standard_generators(family, dim, q):
-            assert oracle.preserves_symplectic_form(g), (dim, q)
+            assert oracle.preserves_form("Sp", g), (dim, q)
+    # negative controls: diag(a, 1, ..., 1) scales one entry of the
+    # antidiagonal form by a (times conj(a) for SU), and the transvection
+    # along e1 preserves the polar form of x1 x2 + x3 x4 but maps e2 to
+    # e1 + e2, where Q is 1
+    for family, dim, q in (("Sp", 4, 3), ("SU", 4, 2)):
+        fld = oracle.field_of_order(q * q if family == "SU" else q)
+        rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        rows[0][0] = fld.gen
+        assert not oracle.preserves_form(family, oracle.MatrixGF(fld, rows))
+    shear = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert not oracle.preserves_form(
+        "GOplus", oracle.MatrixGF(oracle.field_of_order(2), shear)
+    )
 
 
 def test_sp4_2_is_s6() -> None:
@@ -152,6 +165,11 @@ def test_sp4_2_is_s6() -> None:
 
 def test_go4plus_2_closure_equals_exhaustive_filter() -> None:
     fld = oracle.field_of_order(2)
+    vectors = list(itertools.product((0, 1), repeat=4))
+
+    def quadratic(x) -> int:
+        return (x[0] * x[1] + x[2] * x[3]) % 2
+
     keep = []
     for code in range(2**16):
         rows = tuple(
@@ -163,7 +181,15 @@ def test_go4plus_2_closure_equals_exhaustive_filter() -> None:
             mat.inverse()
         except DomainError:
             continue
-        if oracle.preserves_quadratic_form_plus_4(mat):
+        # reference: Q(x g) = Q(x) on all 16 vectors, with x g the row
+        # vector x times g
+        preserved = all(
+            quadratic([sum(x[i] * rows[i][j] for i in range(4)) for j in range(4)])
+            == quadratic(x)
+            for x in vectors
+        )
+        assert oracle.preserves_form("GOplus", mat) == preserved, rows
+        if preserved:
             keep.append(mat)
     group = oracle.close_group(oracle.standard_generators("GOplus", 4, 2))
     assert len(keep) == 72

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
@@ -173,6 +174,15 @@ def test_export_parse_round_trip() -> None:
         assert primegraph.export_graph(back) == text
     with pytest.raises(UsageError):
         primegraph.parse_graph("{")
+
+
+def test_parse_rejects_well_formed_json_that_breaks_an_invariant() -> None:
+    good = json.loads(primegraph.export_graph(
+        primegraph.build_graph(spectra.group_id(SP, 2, 3))
+    ))
+    for bad in ({"vertices": [3, 2]}, {"edges": [[3, 2]]}, {"edges": [[2, 7]]}):
+        with pytest.raises(UsageError):
+            primegraph.parse_graph(json.dumps({**good, **bad}))
 
 
 def test_edge_set_is_derived_state() -> None:

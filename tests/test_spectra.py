@@ -178,6 +178,24 @@ def test_parse_rejects_malformed() -> None:
             spectra.parse_spectrum(json.dumps({**good, **bad}))
 
 
+def test_parse_rejects_well_formed_json_that_breaks_an_invariant() -> None:
+    from ordspec.errors import UsageError
+
+    spec = spectra.spectrum(spectra.group_id(SP, 2, 3))
+    good = json.loads(spectra.serialize(spec))
+    group = good["group"]
+    for bad in (
+        {"gens": ["4", "2"]},
+        {"gens": []},
+        {"group": {**group, "family": "Nope", "p": 4}},
+        {"group": {**group, "p": 4, "m": 1}},
+        {"group": {**group, "n": 1}},
+        {"group": {"family": "Bn", "n": 3, "p": 2, "m": 1}},
+    ):
+        with pytest.raises(UsageError):
+            spectra.parse_spectrum(json.dumps({**good, **bad}))
+
+
 def test_p_prime_is_strip_of_full_where_both_exist() -> None:
     for key in ((SP, 2, 3), (SP, 3, 3), (SP, 3, 4), (BN, 3, 3),
                 (O8PLUS, 4, 3), (O8MINUS, 4, 2)):

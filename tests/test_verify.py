@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from ordspec import spectra, verify
@@ -171,6 +174,18 @@ def test_report_serialization_round_trip_and_determinism() -> None:
         verify.parse_report("nope")
 
 
+def test_parse_report_rejects_well_formed_json_that_breaks_an_invariant() -> None:
+    good = json.loads(verify.serialize_report(verify.check_diff("i", 3, 3)))
+    claim = good["claims"][0]
+    for bad in (
+        {"verdict": "fail", "witness": []},
+        {"verdict": "maybe"},
+    ):
+        text = json.dumps({**good, "claims": [{**claim, **bad}]})
+        with pytest.raises(UsageError):
+            verify.parse_report(text)
+
+
 def test_summary_marks_verdicts() -> None:
     report = verify.check_diff("ii", 5, 3)
     text = verify.summary(report)
@@ -196,6 +211,32 @@ def test_run_suite_validates_config() -> None:
         assert "checks[0]" in str(exc)
     else:
         raise AssertionError("missing keys not reported")
+
+
+def test_run_suite_rejects_mistyped_grid_values(monkeypatch) -> None:
+    ran = []
+    monkeypatch.setattr(verify, "check_go8_equality", lambda q: ran.append(q))
+    member = {"kind": "membership", "family": "Sp", "n": 2, "q": 3,
+              "value": 5, "expected": True}
+    for bad in (
+        {"n": 2.9}, {"n": True}, {"q": "3"}, {"value": None},
+        {"expected": "false"}, {"expected": 1}, {"part": "bogus"},
+    ):
+        with pytest.raises(UsageError, match=r"checks\[1\]"):
+            verify.run_suite({"checks": [{"kind": "go8", "q": 2}, {**member, **bad}]})
+    with pytest.raises(UsageError, match=r"checks\[1\].*k must be an integer"):
+        verify.run_suite({"checks": [
+            {"kind": "go8", "q": 2},
+            {"kind": "adjacency", "which": "adj_s", "family": "Sp", "n": 5,
+             "q": 2, "k": "10"},
+        ]})
+    with pytest.raises(UsageError, match="unknown kind"):
+        verify.run_suite({"checks": [{"kind": ["go8"], "q": 2}]})
+    assert ran == []
+    # the accepted forms
+    for part in ("full", "p-prime"):
+        (report,) = verify.run_suite({"checks": [{**member, "part": part}]})
+        assert report.passed and report.check_id.endswith(f":{part}:5")
 
 
 def test_run_suite_turns_raises_into_failed_reports() -> None:
@@ -236,7 +277,17 @@ def test_run_suite_reports_unexpected_exceptions(monkeypatch) -> None:
 
 def test_default_config_runs_clean() -> None:
     reports = verify.run_suite(verify.default_config())
-    assert len(reports) > 150
+    assert len(reports) == 208
     failing = [r.check_id for r in reports if not r.passed]
     assert not failing, failing
     assert verify.suite_passed(reports)
+    # the canonical reports, byte for byte, and their verdict totals
+    text = "\n".join(verify.serialize_report(r) for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ab3597d9d84797685725f7600f265d7b447aae7386879a2e408cc1e3a9619699"
+    )
+    totals: dict[str, int] = {}
+    for r in reports:
+        for verdict, count in _verdicts(r).items():
+            totals[verdict] = totals.get(verdict, 0) + count
+    assert totals == {"pass": 585, "info": 42, "assumed": 75}
