@@ -39,15 +39,9 @@ VERIFY_COMMANDS = {
 }
 
 
-def _spectrum_of(args) -> spectra.SpectrumGens:
-    group = spectra.group_id(args.family, args.n, args.q)
-    if args.part == FULL:
-        return spectra.spectrum(group)
-    return spectra.spectrum_p_prime(group)
-
-
 def cmd_spectrum(args) -> int:
-    spec = _spectrum_of(args)
+    group = spectra.group_id(args.family, args.n, args.q)
+    spec = spectra.spectrum_of_part(group, args.part)
     if args.format == "text":
         print(" ".join(str(g) for g in spec.gens))
     else:
@@ -57,7 +51,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_graph(args) -> int:
     group = spectra.group_id(args.family, args.n, args.q)
-    graph = primegraph.build_graph(group, part=FULL if args.part == FULL else PPRIME)
+    graph = primegraph.build_graph(group, part=args.part)
     if args.format == "text":
         print("vertices:", " ".join(str(v) for v in graph.vertices))
         print("edges:", " ".join(f"{r}-{s}" for r, s in graph.edges))
@@ -68,7 +62,7 @@ def cmd_graph(args) -> int:
 
 def cmd_coclique(args) -> int:
     group = spectra.group_id(args.family, args.n, args.q)
-    graph = primegraph.build_graph(group, part=FULL if args.part == FULL else PPRIME)
+    graph = primegraph.build_graph(group, part=args.part)
     found = primegraph.find_cocliques(graph, args.size)
     if args.format == "text":
         for combo in found:

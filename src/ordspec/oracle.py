@@ -32,7 +32,7 @@ import random
 from functools import lru_cache, reduce
 from itertools import repeat
 
-from . import spectra
+from . import arith, spectra
 from .errors import DomainError, ResourceError, UsageError
 from .spectra import SpectrumGens
 
@@ -56,14 +56,18 @@ def _poly_mulmod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
     return _poly_mod(out, mod, p)
 
 
+def _digits(value: int, p: int, n: int) -> tuple:
+    """Digits 0..n-1 of value in base p."""
+    out = []
+    for _ in range(n):
+        value, digit = divmod(value, p)
+        out.append(digit)
+    return tuple(out)
+
+
 def _monic_polys(p: int, deg: int):
     for code in range(p**deg):
-        coeffs = []
-        c = code
-        for _ in range(deg):
-            coeffs.append(c % p)
-            c //= p
-        yield tuple(coeffs) + (1,)
+        yield _digits(code, p, deg) + (1,)
 
 
 def _poly_mod(a: tuple, mod: tuple, p: int) -> tuple:
@@ -100,13 +104,8 @@ class Field:
         self.modulus = next(
             poly for poly in _monic_polys(p, m) if _is_irreducible(poly, p)
         )
-        if q == 2:
-            self.gen = 1
-            self.exp = [1]
-            self.log = [0, 0]
-            return
         # find a primitive element and fill exp/log along the way
-        for cand in range(2, q):
+        for cand in range(1, q):
             cand_poly = self._decode(cand)
             exp = [1]
             cur = (1,)
@@ -127,11 +126,7 @@ class Field:
             self.log[code] = i
 
     def _decode(self, code: int) -> tuple:
-        p = self.p
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(code % p)
-            code //= p
+        coeffs = list(_digits(code, self.p, self.m))
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         return tuple(coeffs)
@@ -198,8 +193,6 @@ class Field:
 def field(p: int, m: int) -> Field:
     if m < 1 or p < 2:
         raise DomainError(f"bad field parameters ({p}, {m})")
-    from . import arith
-
     if not arith.is_prime(p):
         raise DomainError(f"field characteristic {p} is not prime")
     if p**m > 4096:
@@ -253,13 +246,6 @@ class MatrixGF:
         return cls(fld, tuple(
             tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
         ))
-
-    def is_identity(self) -> bool:
-        return all(
-            e == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
 
     def conj_entries(self) -> MatrixGF:
         f = self.field
@@ -411,12 +397,9 @@ class _Engine:
         self.identity = self.encode(MatrixGF.identity(fld, dim).rows)
 
     def _spread(self, value: int, n: int) -> int:
-        """The n lowest base-p digits of value, one per b-bit field."""
-        packed = 0
-        for t in range(n):
-            value, digit = divmod(value, self.p)
-            packed |= digit << (self.b * t)
-        return packed
+        """_digits(value, p, n) packed one per b-bit field."""
+        digits = _digits(value, self.p, n)
+        return sum(digit << (self.b * t) for t, digit in enumerate(digits))
 
     def encode(self, rows) -> int:
         digits, key = self.digits, 0
@@ -477,8 +460,7 @@ class _Engine:
 
 class ClosedGroup:
     """The multiplicative closure of a generator list: the set of its
-    elements' packed integer keys, plus the machinery to map keys back to
-    matrices."""
+    elements' packed integer keys, and the engine that packs them."""
 
     def __init__(self, fld: Field, dim: int, engine, key_set, generators):
         self.field = fld
@@ -490,9 +472,15 @@ class ClosedGroup:
     def __len__(self) -> int:
         return len(self.key_set)
 
-    def elements(self):
-        for key in self.key_set:
-            yield MatrixGF(self.field, self.engine.decode(key))
+
+def _matrix_ring(generators) -> tuple[list, Field, int]:
+    gens = list(generators)
+    if not gens:
+        raise DomainError("no generators")
+    fld, dim = gens[0].field, gens[0].dim
+    if any(g.field is not fld or g.dim != dim for g in gens):
+        raise DomainError("generators live in different matrix rings")
+    return gens, fld, dim
 
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
@@ -500,13 +488,8 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
 
     Raises ResourceError as soon as more than `cap` elements are seen.
     """
-    gens = list(generators)
-    if not gens:
-        raise DomainError("no generators")
-    fld, dim = gens[0].field, gens[0].dim
+    gens, fld, dim = _matrix_ring(generators)
     for g in gens:
-        if g.field is not fld or g.dim != dim:
-            raise DomainError("generators live in different matrix rings")
         g.inverse()  # raises on singular input
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
@@ -579,9 +562,7 @@ def centre_of(group: ClosedGroup) -> list[MatrixGF]:
     out = []
     for code in range(size):
         vec = [0] * (d * d)
-        rest = code
-        for b in basis:
-            rest, c = divmod(rest, f.q)
+        for c, b in zip(_digits(code, f.q, len(basis)), basis):
             if c:
                 vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, b)]
         rows = tuple(tuple(vec[i * d : (i + 1) * d]) for i in range(d))
@@ -808,27 +789,35 @@ _GOPLUS_4_2_ROWS = (
 )
 
 
-SUPPORTED_GENERATORS = (
-    ("Sp", 4, 2),
-    ("Sp", 4, 3),
-    ("Sp", 4, 4),
-    ("Sp", 6, 2),
-    ("Sp", 6, 3),
-    ("SU", 4, 2),
-    ("SU", 4, 4),
-    ("SU", 4, 8),
-    ("SU", 4, 16),
-    ("SU", 4, 32),
-    ("GOplus", 4, 2),
-)
+# Each supported group -> two words in its standard generators, as index
+# tuples, whose products generate it (None: too large to enumerate).
+# Closing two elements costs two multiplications per group element instead
+# of one per standard generator.  Found by a seeded random search;
+# enumerate_group checks every closure against _matrix_group_order.
+_PAIR_WORDS = {
+    ("Sp", 4, 2): ((6, 1, 1, 4), (5, 2, 0)),
+    ("Sp", 4, 3): ((0, 6, 5, 0), (3,)),
+    ("Sp", 4, 4): ((10, 5, 13, 9), (3, 8, 11)),
+    ("Sp", 6, 2): ((5, 4, 8, 3), (6, 7, 8, 1)),
+    ("Sp", 6, 3): None,
+    ("SU", 4, 2): ((2, 5, 1, 4), (4,)),
+    ("SU", 4, 4): None,
+    ("SU", 4, 8): None,
+    ("SU", 4, 16): None,
+    ("SU", 4, 32): None,
+    ("GOplus", 4, 2): ((0,), (1,)),
+}
+
+SUPPORTED_GENERATORS = tuple(_PAIR_WORDS)
 
 
-def _check_supported(family: str, dim: int, q: int) -> None:
-    if (family, dim, q) not in SUPPORTED_GENERATORS:
+def _group_field(family: str, dim: int, q: int) -> Field:
+    if (family, dim, q) not in _PAIR_WORDS:
         raise DomainError(
             f"no standard generators for ({family}, {dim}, {q}); "
             f"supported: {SUPPORTED_GENERATORS}"
         )
+    return field_of_order(q * q if family == "SU" else q)
 
 
 def central_scalars(family: str, dim: int, q: int) -> list[MatrixGF]:
@@ -836,16 +825,14 @@ def central_scalars(family: str, dim: int, q: int) -> list[MatrixGF]:
     the scalars z with z^(q+1) = z^dim = 1 for SU, only I for GO+(4, 2).
     Quotienting by them turns matrix orders into orders in the simple
     (or for GO+ the plain) quotient."""
-    _check_supported(family, dim, q)
+    fld = _group_field(family, dim, q)
     if family == "SU":
-        fld = field_of_order(q * q)
         codes = [
             z
             for z in range(1, fld.q)
             if fld.pow(z, q + 1) == 1 and fld.pow(z, dim) == 1
         ]
     else:
-        fld = field_of_order(q)
         codes = [1] if family != "Sp" or fld.p == 2 else [1, fld.neg(1)]
     out = []
     for z in codes:
@@ -857,41 +844,17 @@ def central_scalars(family: str, dim: int, q: int) -> list[MatrixGF]:
 def standard_generators(family: str, dim: int, q: int) -> list[MatrixGF]:
     """Matrices generating the named group: Sp(dim, q), SU(4, q) (as
     matrices over GF(q^2)), or the full orthogonal group GO+(4, 2)."""
-    _check_supported(family, dim, q)
+    fld = _group_field(family, dim, q)
     if family == "Sp":
-        gens = _sp_generators(field_of_order(q), dim)
-        for g in gens:
-            if not preserves_form(family, g):
-                raise AssertionError("internal: transvection broke the form")
-        return gens
-    if family == "SU":
-        fld = field_of_order(q * q)
+        gens = _sp_generators(fld, dim)
+    elif family == "SU":
         gens = _su4_generators(fld)
-        for g in gens:
-            if not preserves_form(family, g) or _det(g) != 1:
-                raise AssertionError("internal: generator outside SU4")
-        return gens
-    fld = field_of_order(q)
-    gens = [MatrixGF(fld, rows) for rows in _GOPLUS_4_2_ROWS]
+    else:
+        gens = [MatrixGF(fld, rows) for rows in _GOPLUS_4_2_ROWS]
     for g in gens:
-        if not preserves_form(family, g):
-            raise AssertionError("internal: generator outside GO+4")
+        if not preserves_form(family, g) or (family == "SU" and _det(g) != 1):
+            raise AssertionError(f"internal: generator outside {family}{dim}")
     return gens
-
-
-# Two words in standard_generators(family, dim, q), as index tuples, whose
-# products generate the whole group: closing two elements costs two
-# multiplications per group element instead of one per standard generator.
-# Found by a seeded random search; enumerate_group checks every closure
-# against _matrix_group_order.  GO+(4, 2) keeps its two standard generators.
-_PAIR_WORDS = {
-    ("Sp", 4, 2): ((6, 1, 1, 4), (5, 2, 0)),
-    ("Sp", 4, 3): ((0, 6, 5, 0), (3,)),
-    ("Sp", 4, 4): ((10, 5, 13, 9), (3, 8, 11)),
-    ("Sp", 6, 2): ((5, 4, 8, 3), (6, 7, 8, 1)),
-    ("SU", 4, 2): ((2, 5, 1, 4), (4,)),
-    ("GOplus", 4, 2): ((0,), (1,)),
-}
 
 
 def _matrix_group_order(family: str, dim: int, q: int) -> int:
@@ -910,12 +873,13 @@ def _generating_pair(family: str, dim: int, q: int) -> list[MatrixGF]:
     in it by construction.  Raises ResourceError for the supported groups
     too large to enumerate, which have no pair."""
     gens = standard_generators(family, dim, q)
-    words = _PAIR_WORDS.get((family, dim, q))
+    words = _PAIR_WORDS[family, dim, q]
     if words is None:
         raise ResourceError(
             f"({family}, {dim}, {q}) has "
             f"{_matrix_group_order(family, dim, q)} elements, too many to "
-            f"enumerate; enumerable: {tuple(_PAIR_WORDS)}"
+            f"enumerate; enumerable: "
+            f"{tuple(group for group, pair in _PAIR_WORDS.items() if pair)}"
         )
     return [reduce(operator.mul, (gens[i] for i in word)) for word in words]
 
@@ -998,15 +962,9 @@ def twisted_order_b_gamma(q: int) -> int:
 def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, ...]:
     """Orders of `count` seeded-random words in the generators (modulo the
     optional centre), as a sorted tuple.  Deterministic for a fixed seed."""
-    gens = list(generators)
-    if not gens:
-        raise DomainError("no generators")
+    gens, fld, dim = _matrix_ring(generators)
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    fld, dim = gens[0].field, gens[0].dim
-    for g in gens:
-        if g.field is not fld or g.dim != dim:
-            raise DomainError("generators must live in the same matrix ring")
     eng = _engine(fld, dim)
     centre_keys = _validated_centre_keys(eng, gens, centre)
     gen_tabs = [eng.tables(eng.encode(g.rows)) for g in gens]

@@ -127,13 +127,10 @@ def graph_from_spectrum(spec: SpectrumGens, vertices) -> PrimeGraph:
 def build_graph(group: GroupId, part: str = FULL) -> PrimeGraph:
     """The prime graph of the group (part = "full"), or the graph on the
     non-characteristic primes with adjacency from the p'-spectrum."""
-    order = group_order(group)
-    if part == FULL:
-        spec = spectra.spectrum(group)
-        verts = order.primes
-    else:
-        spec = spectra.spectrum_p_prime(group)
-        verts = tuple(r for r in order.primes if r != group.p)
+    spec = spectra.spectrum_of_part(group, part)
+    verts = group_order(group).primes
+    if part != FULL:
+        verts = tuple(r for r in verts if r != group.p)
     return graph_from_spectrum(spec, verts)
 
 

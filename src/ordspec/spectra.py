@@ -438,3 +438,14 @@ def spectrum_p_prime(group: GroupId) -> SpectrumGens:
     else:
         raw = {arith.coprime_part(g, p) for g in spectrum(group).gens}
     return reduce_gens(raw, label=group.name(), part=part, group=group)
+
+
+def spectrum_of_part(group: GroupId, part: str) -> SpectrumGens:
+    """The full spectrum (part FULL) or its p'-part (part PPRIME)."""
+    if part == FULL:
+        return spectrum(group)
+    if part == PPRIME:
+        return spectrum_p_prime(group)
+    raise DomainError(
+        f"unknown spectrum part {part!r}; expected {FULL!r} or {PPRIME!r}"
+    )

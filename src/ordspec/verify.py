@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 
 from . import oracle, primegraph, spectra, zsigmondy
-from .errors import DomainError, OrdspecError, UsageError
+from .errors import DomainError, OrdspecError, UnsupportedError, UsageError
 from .spectra import (
     BN, DMINUS, DPLUS, FULL, GO8MINUS, O8MINUS, O8PLUS, PPRIME, SP,
     SpectrumGens,
@@ -153,6 +153,15 @@ def _timed(check_id: str, params: dict, claims: list[Claim], t0: float) -> Check
     return CheckReport(check_id, params, tuple(claims), time.perf_counter() - t0)
 
 
+def _full_spectrum(group: spectra.GroupId) -> SpectrumGens | None:
+    """The group's full spectrum, or None where spectra has no closed form
+    for it."""
+    try:
+        return spectra.spectrum(group)
+    except UnsupportedError:
+        return None
+
+
 def _bn_or_sp(n: int, q: int) -> spectra.GroupId:
     """The odd-dimensional orthogonal group; for n = 2 or even q this is the
     isomorphic symplectic group."""
@@ -209,15 +218,13 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
             raise DomainError("item (ii) excludes (n, q) = (4, 2)")
         bn = spectra.spectrum(spectra.group_id(BN, n, q))
         levels = [2 * n - 2] + ([n - 1] if n % 2 == 0 else [])
-        direct = n == 4 and p == 2
+        dm = _full_spectrum(spectra.group_id(DMINUS, n, q))
         for k in levels:
             rs = zsigmondy.primitive_prime_divisors(q, k)
             if not rs:
                 claims.append(Claim(f"R_{k}({q}) is empty", VACUOUS))
                 continue
-            if direct:
-                dm = spectra.spectrum(spectra.group_id(O8MINUS, 4, q))
-            else:
+            if dm is None:
                 claims.append(_hypothesis_claim(
                     f"adjacency-bound hypothesis for k={k}: odd k > n-2 "
                     f"or even k with k/2 > n-2",
@@ -229,7 +236,7 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
                     f"p r = {x} (r={r} of order {k}) lies in {bn.label} spectrum",
                     bn, x,
                 ))
-                if direct:
+                if dm is not None:
                     claims.append(_member_claim(
                         f"p r = {x} avoids {dm.label} spectrum", dm, x, inside=False,
                     ))
@@ -342,14 +349,9 @@ def check_adjacency(which: str, group: spectra.GroupId, k: int) -> CheckReport:
         rs = _order_k_primes(group, k)
         if not rs:
             claims.append(Claim(f"R_{k}({q}) meets no prime of the order", VACUOUS))
-        full_available = (
-            group.family in (O8PLUS, O8MINUS)
-            or (group.family == DPLUS and n == 4)
-            or (group.family == DMINUS and n == 4 and p == 2)
-        )
+        spec_full = _full_spectrum(group)
         for r in rs:
-            if full_available:
-                spec_full = spectra.spectrum(group)
+            if spec_full is not None:
                 claims.append(_member_claim(
                     f"r p = {r * p} avoids the {group.name()} spectrum",
                     spec_full, r * p, inside=False,
@@ -583,11 +585,7 @@ def check_membership(
 ) -> CheckReport:
     t0 = time.perf_counter()
     group = spectra.group_id(family, n, q)
-    spec = (
-        spectra.spectrum(group)
-        if part == FULL
-        else spectra.spectrum_p_prime(group)
-    )
+    spec = spectra.spectrum_of_part(group, part)
     claims = [_member_claim(
         f"{value} {'lies in' if expected else 'avoids'} the {spec.part} "
         f"spectrum of {spec.label}",

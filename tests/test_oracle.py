@@ -14,6 +14,7 @@ packed closure engine.
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -78,6 +79,31 @@ def test_field_conj_is_involutory_automorphism() -> None:
         oracle.field_of_order(8).sub_q()
 
 
+def test_field_construction_is_pinned() -> None:
+    """The modulus and primitive element picked for a field fix the integer
+    code of every element, and so every generator, key and cache name; a
+    changed search order would silently re-code them.  GF(2) has gen 1,
+    and in the other five fields gen is not x."""
+    want = {
+        2: ((0, 1), 1,
+            "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+        9: ((1, 0, 1), 4,
+            "b351095dd920918fc83d6ae9295547f7581dbfe436790376a190fd2c39c53e5a"),
+        25: ((2, 0, 1), 6,
+             "dc195559d55f793a6a8b043f4fca14fec4794ae39e12ae81b02cebd4ff2b04c8"),
+        256: ((1, 1, 0, 1, 1, 0, 0, 0, 1), 3,
+              "c35609d7d6dbc90eeeeba529ec2e61d02974772b1dd274ec31fcdaf8696ce955"),
+        2187: ((2, 0, 1, 0, 0, 0, 0, 1), 5,
+               "c99ad20113c7b7e9e307a2fd7f2e587cf81310a19af2c9e70dc6abd89bf04e3d"),
+        4096: ((1, 0, 0, 1) + (0,) * 8 + (1,), 3,
+               "3b99066734910660fe7474c055d3c3cca5e0ebb4a399ed745b7d455af580c6b4"),
+    }
+    for q, (modulus, gen, exp_sha) in want.items():
+        fld = oracle.Field(*spectra.split_prime_power(q))
+        digest = hashlib.sha256(",".join(map(str, fld.exp)).encode()).hexdigest()
+        assert (fld.modulus, fld.gen, digest) == (modulus, gen, exp_sha), q
+
+
 def test_field_parameter_validation() -> None:
     with pytest.raises(DomainError):
         oracle.field(4, 1)
@@ -101,8 +127,7 @@ def test_matrix_inverse_and_order() -> None:
         except DomainError:
             continue
         found += 1
-        assert (mat * inv).is_identity()
-        assert (inv * mat).is_identity()
+        assert mat * inv == inv * mat == oracle.MatrixGF.identity(fld, 3)
     zero = oracle.MatrixGF(fld, [[0] * 3] * 3)
     with pytest.raises(DomainError):
         zero.inverse()
@@ -194,7 +219,7 @@ def test_go4plus_2_closure_equals_exhaustive_filter() -> None:
     group = oracle.close_group(oracle.standard_generators("GOplus", 4, 2))
     assert len(keep) == 72
     assert len(group) == 72
-    assert set(keep) == set(group.elements())
+    assert set(keep) == _elements(group)
 
 
 def test_su4_2_matches_s4_3_spectrum() -> None:
@@ -270,10 +295,11 @@ def test_sample_orders_centre_validation() -> None:
 
 def test_central_scalars() -> None:
     sp = oracle.central_scalars("Sp", 4, 3)
+    ident = oracle.MatrixGF.identity(sp[0].field, 4)
     assert len(sp) == 2
-    assert sp[0].is_identity()
+    assert sp[0] == ident
     minus = sp[1]
-    assert (minus * minus).is_identity()
+    assert minus * minus == ident
     assert len(oracle.central_scalars("Sp", 4, 2)) == 1
     assert len(oracle.central_scalars("SU", 4, 4)) == 1
     assert len(oracle.central_scalars("GOplus", 4, 2)) == 1
@@ -319,11 +345,19 @@ def test_centre_of_go4plus_trivial() -> None:
     assert len(oracle.centre_of(group)) == 1
 
 
+def _elements(group) -> set[oracle.MatrixGF]:
+    """The closed group's elements as matrices, decoded from its keys."""
+    return {
+        oracle.MatrixGF(group.field, group.engine.decode(key))
+        for key in group.key_set
+    }
+
+
 def _brute_force_orders(group, centre) -> set[int]:
     """Order modulo the centre of every element, one power walk each."""
     centre = set(centre)
     orders = set()
-    for mat in group.elements():
+    for mat in _elements(group):
         acc, order = mat, 1
         while acc not in centre:
             acc, order = acc * mat, order + 1
@@ -334,7 +368,7 @@ def _brute_force_orders(group, centre) -> set[int]:
 def _brute_force_centre(group) -> set[oracle.MatrixGF]:
     return {
         m
-        for m in group.elements()
+        for m in _elements(group)
         if all(m * g == g * m for g in group.generators)
     }
 
@@ -442,7 +476,7 @@ def test_centre_of_matches_brute_force_filter() -> None:
     assert len(oracle._commutant_basis(group.generators)) == 5
     centre = oracle.centre_of(group)
     assert set(centre) == _brute_force_centre(group)
-    assert len(centre) == 1 and centre[0].is_identity()
+    assert centre == [oracle.MatrixGF.identity(group.field, 4)]
 
 
 def test_centre_of_caps_the_commutant(monkeypatch) -> None:

@@ -149,6 +149,11 @@ def test_p_prime_graph_excludes_characteristic() -> None:
     assert set(graph.vertices) == set(full_primes) - {3}
 
 
+def test_build_graph_rejects_an_unknown_part() -> None:
+    with pytest.raises(DomainError):
+        primegraph.build_graph(spectra.group_id(SP, 2, 3), "bogus")
+
+
 def test_graph_validation_and_errors() -> None:
     graph = primegraph.build_graph(spectra.group_id(SP, 2, 3))
     with pytest.raises(DomainError):

@@ -230,6 +230,18 @@ def test_semisimple_formula_agrees_with_strip_at_n4() -> None:
         assert semi.gens == stripped.gens, q
 
 
+def test_spectrum_of_part_names_each_part_and_rejects_others() -> None:
+    group = spectra.group_id(SP, 2, 3)
+    assert spectra.spectrum_of_part(group, "full") == spectra.spectrum(group)
+    assert (
+        spectra.spectrum_of_part(group, "p-prime")
+        == spectra.spectrum_p_prime(group)
+    )
+    for part in ("bogus", "3'", "", None):
+        with pytest.raises(DomainError):
+            spectra.spectrum_of_part(group, part)
+
+
 def test_excluded_and_unsupported_parameters() -> None:
     with pytest.raises(DomainError):
         spectra.spectrum(spectra.group_id(SP, 2, 2))

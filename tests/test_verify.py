@@ -150,6 +150,11 @@ def test_membership_positive_and_negative() -> None:
     assert control.claims[0].witness == (30,)
 
 
+def test_membership_rejects_an_unknown_part() -> None:
+    with pytest.raises(DomainError):
+        verify.check_membership("Sp", 2, 3, 5, True, "bogus")
+
+
 def test_claim_validation() -> None:
     with pytest.raises(DomainError):
         verify.Claim("x", "maybe")
