@@ -1,10 +1,11 @@
 """Exact integer arithmetic: factorizations, prime parts, multiplicative orders.
 
-Thin, validated wrappers around sympy's number theory, and cyclotomic values
-computed in integers.  Everything works on arbitrary-precision ints; nothing
-here is probabilistic in a way that can return a wrong answer silently
-(sympy's isprime is strong BPSW + Miller-Rabin, with no known pseudoprime,
-and is proven deterministic well past every value this package feeds it).
+Thin, validated wrappers around sympy's number theory, cyclotomic values
+computed in integers, and the one memoised table of their factorizations.
+Everything works on arbitrary-precision ints; nothing here is probabilistic
+in a way that can return a wrong answer silently (sympy's isprime is strong
+BPSW + Miller-Rabin, with no known pseudoprime, and is proven deterministic
+well past every value this package feeds it).
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ def is_prime(n: int) -> bool:
     return bool(isprime(n))
 
 
-def prime_divisors(a: int) -> tuple[int, ...]:
-    """Distinct primes dividing a, ascending."""
-    return factorize(a).primes
-
-
 def divisors(a: int) -> list[int]:
     """All positive divisors of a, ascending."""
     if a < 1:
@@ -124,3 +120,11 @@ def cyclotomic_value(n: int, q: int) -> int:
         if rem:
             raise AssertionError(f"internal: Phi_{d}({q}) does not divide {q}^{n} - 1")
     return value
+
+
+# Bounded like cyclotomic_value; a tuple, so no caller can change a cached
+# entry (a Factorization holds a mutable dict).
+@lru_cache(maxsize=4096)
+def cyclotomic_factors(n: int, q: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of Phi_n(q), primes ascending."""
+    return tuple(sorted(factorize(cyclotomic_value(n, q)).factors.items()))

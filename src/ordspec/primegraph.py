@@ -14,57 +14,41 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import arith, spectra
-from .errors import DomainError, UnsupportedError, UsageError
+from .errors import DomainError, UsageError
 from .spectra import FULL, GroupId, SpectrumGens
 
 
-# Bounded like arith.cyclotomic_value; a tuple, so no caller can change a
-# cached entry (a Factorization holds a mutable dict).
-@lru_cache(maxsize=4096)
-def _cyclotomic_factors(d: int, q: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of Phi_d(q)."""
-    return tuple(arith.factorize(arith.cyclotomic_value(d, q)).factors.items())
-
-
-def _factor_qn_minus_1(q: int, n: int, into: Counter) -> None:
-    for d in arith.divisors(n):
-        for r, e in _cyclotomic_factors(d, q):
-            into[r] += e
-
-
-def _factor_qn_plus_1(q: int, n: int, into: Counter) -> None:
-    # q^n + 1 = (q^2n - 1)/(q^n - 1): the cyclotomic pieces at divisors
-    # of 2n that do not divide n.
-    for d in arith.divisors(2 * n):
-        if n % d != 0:
-            for r, e in _cyclotomic_factors(d, q):
-                into[r] += e
-
-
 def group_order(group: GroupId) -> arith.Factorization:
-    """The order of the (simple, or for GO8- the full orthogonal) group."""
+    """The order of the (simple, or for GO8- the full orthogonal) group.
+
+    Each q^k - 1 and q^k + 1 in the classical formula is a product of
+    cyclotomic values, so count how often each Phi_d(q) occurs and read its
+    primes from arith.cyclotomic_factors.
+    """
     n, q, p, m = group.n, group.q, group.p, group.m
-    fact: Counter = Counter()
-    if group.family in (spectra.SP, spectra.BN):
-        fact[p] += m * n * n
-        for i in range(1, n + 1):
-            _factor_qn_minus_1(q, 2 * i, fact)
-        denom = 2 if p != 2 else 1
+    symplectic = group.family in (spectra.SP, spectra.BN)
+    rank = n if symplectic else n - 1
+    # prod_{i <= rank} (q^2i - 1): Phi_d(q) divides q^2i - 1 iff d/(d, 2) | i
+    phis = Counter({d: rank // (d // math.gcd(d, 2)) for d in range(1, 2 * rank + 1)})
+    if symplectic:
+        denom = math.gcd(2, q - 1)
     else:
         eps = 1 if group.family in (spectra.DPLUS, spectra.O8PLUS) else -1
-        fact[p] += m * n * (n - 1)
-        if eps == 1:
-            _factor_qn_minus_1(q, n, fact)
-        else:
-            _factor_qn_plus_1(q, n, fact)
-        for i in range(1, n):
-            _factor_qn_minus_1(q, 2 * i, fact)
+        # q^n - 1 takes the d dividing n, q^n + 1 the d dividing 2n but not n
+        phis.update(
+            d for d in range(1, 2 * n + 1)
+            if 2 * n % d == 0 and (n % d == 0) == (eps == 1)
+        )
         denom = math.gcd(4, q**n - eps)
-        if group.family == spectra.GO8MINUS:
-            fact[2] += 1
+    fact = Counter({p: m * n * rank})
+    for d, count in phis.items():
+        if count:
+            for r, e in arith.cyclotomic_factors(d, q):
+                fact[r] += count * e
+    if group.family == spectra.GO8MINUS:
+        fact[2] += 1
     while denom > 1:
         if fact[2] < 1:
             raise AssertionError("internal: order not divisible by centre size")

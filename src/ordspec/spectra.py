@@ -38,7 +38,17 @@ O8PLUS = "O8plus"
 O8MINUS = "O8minus"
 GO8MINUS = "GO8minus"
 
-FAMILIES = (SP, BN, DPLUS, DMINUS, O8PLUS, O8MINUS, GO8MINUS)
+# Each family with the name template of its groups, over "2n", "2n+1", "q".
+_NAME_TEMPLATES = {
+    SP: "S{2n}({q})",
+    BN: "O{2n+1}({q})",
+    DPLUS: "O{2n}+({q})",
+    DMINUS: "O{2n}-({q})",
+    O8PLUS: "O8+({q})",
+    O8MINUS: "O8-({q})",
+    GO8MINUS: "GO8-({q})",
+}
+FAMILIES = tuple(_NAME_TEMPLATES)
 
 FULL = "full"
 PPRIME = "p-prime"
@@ -66,21 +76,16 @@ class GroupId:
     def q(self) -> int:
         return self.p**self.m
 
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise DomainError(
+                f"unknown family {self.family!r}, expected one of {FAMILIES}"
+            )
+
     def name(self) -> str:
-        q = self.q
-        if self.family == SP:
-            return f"S{2 * self.n}({q})"
-        if self.family == BN:
-            return f"O{2 * self.n + 1}({q})"
-        if self.family == DPLUS:
-            return f"O{2 * self.n}+({q})"
-        if self.family == DMINUS:
-            return f"O{2 * self.n}-({q})"
-        if self.family == O8PLUS:
-            return f"O8+({q})"
-        if self.family == O8MINUS:
-            return f"O8-({q})"
-        return f"GO8-({q})"
+        return _NAME_TEMPLATES[self.family].format_map(
+            {"2n": 2 * self.n, "2n+1": 2 * self.n + 1, "q": self.q}
+        )
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
@@ -97,8 +102,6 @@ def split_prime_power(q: int) -> tuple[int, int]:
 def group_id(family: str, n: int, q: int) -> GroupId:
     """Validated constructor.  Normalizes O_2n+1(q) with even q to S_2n(q),
     the two being isomorphic."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}, expected one of {FAMILIES}")
     p, m = split_prime_power(q)
     if family == BN and p == 2:
         family = SP
@@ -363,14 +366,9 @@ def _o8minus_gens(q: int) -> set[int]:
     }
 
 
-def _go8minus_gens(q: int) -> set[int]:
-    return _o8minus_gens(q) | {
-        2 * (q**3 + 1),
-        2 * (q**3 - 1),
-        4 * (q**2 + 1),
-        8 * (q + 1),
-        8 * (q - 1),
-    }
+def go8minus_extras(q: int) -> tuple[int, ...]:
+    """The generators that GO8-(q) adds to those of O8-(q), even q."""
+    return (2 * (q**3 + 1), 2 * (q**3 - 1), 4 * (q**2 + 1), 8 * (q + 1), 8 * (q - 1))
 
 
 def _semi_gens(n: int, q: int, eps: int) -> set[int]:
@@ -408,16 +406,12 @@ def spectrum(group: GroupId) -> SpectrumGens:
         raw = _sp_odd_gens(n, q, p, 1) if p != 2 else _sp_even_gens(n, q)
     elif group.family == BN:
         raw = _sp_odd_gens(n, q, p, 2)
-    elif group.family == O8PLUS:
+    elif group.family == O8PLUS or (group.family == DPLUS and n == 4):
         raw = _o8plus_gens(q, p)
-    elif group.family == O8MINUS:
+    elif group.family == O8MINUS or (group.family == DMINUS and n == 4 and p == 2):
         raw = _o8minus_gens(q)
     elif group.family == GO8MINUS:
-        raw = _go8minus_gens(q)
-    elif group.family == DPLUS and n == 4:
-        raw = _o8plus_gens(q, p)
-    elif group.family == DMINUS and n == 4 and p == 2:
-        raw = _o8minus_gens(q)
+        raw = _o8minus_gens(q) | set(go8minus_extras(q))
     else:
         raise UnsupportedError(
             f"full spectrum of {group.name()} has no closed form here; "

@@ -218,7 +218,8 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
             raise DomainError("item (ii) excludes (n, q) = (4, 2)")
         bn = spectra.spectrum(spectra.group_id(BN, n, q))
         levels = [2 * n - 2] + ([n - 1] if n % 2 == 0 else [])
-        dm = _full_spectrum(spectra.group_id(DMINUS, n, q))
+        dminus = spectra.group_id(DMINUS, n, q)
+        dm = _full_spectrum(dminus)
         for k in levels:
             rs = zsigmondy.primitive_prime_divisors(q, k)
             if not rs:
@@ -242,7 +243,7 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
                     ))
                 else:
                     claims.append(Claim(
-                        f"p r = {x} avoids the O{2*n}-({q}) spectrum: "
+                        f"p r = {x} avoids the {dminus.name()} spectrum: "
                         "conditional on the adjacency bound (no full closed "
                         "form at these parameters)",
                         ASSUMED,
@@ -278,7 +279,7 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
         lower = spectra.spectrum(_bn_or_sp(n, q))
         upper = spectra.spectrum(spectra.group_id(SP, n, q))
         claims.append(_sub_claim(
-            f"spectrum of O{2*n+1}({q}) is contained in that of S{2*n}({q})",
+            f"spectrum of O{2*n+1}({q}) is contained in that of {upper.label}",
             lower, upper,
         ))
     elif item == "vi":
@@ -289,14 +290,14 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
             )
         low = spectra.spectrum_p_prime(spectra.group_id(BN, n - 1, q))
         high = spectra.spectrum_p_prime(spectra.group_id(BN, n, q))
-        for fam, eps_name in ((DPLUS, "+"), (DMINUS, "-")):
+        for fam in (DPLUS, DMINUS):
             mid = spectra.spectrum_p_prime(spectra.group_id(fam, n, q))
             claims.append(_sub_claim(
-                f"p'-spectrum of O{2*n-1}({q}) within that of O{2*n}{eps_name}({q})",
+                f"p'-spectrum of O{2*n-1}({q}) within that of {mid.label}",
                 low, mid,
             ))
             claims.append(_sub_claim(
-                f"p'-spectrum of O{2*n}{eps_name}({q}) within that of O{2*n+1}({q})",
+                f"p'-spectrum of {mid.label} within that of O{2*n+1}({q})",
                 mid, high,
             ))
         if n == 4:
@@ -544,11 +545,7 @@ def check_go8_equality(q: int) -> CheckReport:
     claims: list[Claim] = []
     sp8 = spectra.spectrum(spectra.group_id(SP, 4, q))
     go8 = spectra.spectrum(spectra.group_id(GO8MINUS, 4, q))
-    extras = [
-        2 * (q**3 + 1), 2 * (q**3 - 1), 4 * (q**2 + 1),
-        8 * (q + 1), 8 * (q - 1),
-    ]
-    for e in extras:
+    for e in spectra.go8minus_extras(q):
         claims.append(_member_claim(
             f"extra generator {e} lies in the {sp8.label} spectrum", sp8, e,
         ))

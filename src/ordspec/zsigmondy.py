@@ -6,10 +6,12 @@ q^i - 1 with 0 < i < n.  These primes are exactly the prime divisors of the
 n-th cyclotomic value Phi_n(q) after removing primes dividing n, so existence
 can be decided without factoring anything: the stripped value exceeds 1.
 The only gap in existence for n >= 3, q >= 2 is (q, n) = (2, 6), where
-Phi_6(2) = 3 divides n.
+Phi_6(2) = 3 divides n.  Listing the primes reads arith.cyclotomic_factors.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import arith
 from .errors import DomainError
@@ -28,9 +30,8 @@ def primitive_part(q: int, n: int) -> int:
     """
     _check_args(q, n)
     value = arith.cyclotomic_value(n, q)
-    for r in arith.prime_divisors(n) if n > 1 else ():
-        while value % r == 0:
-            value //= r
+    while (common := math.gcd(value, n)) > 1:
+        value //= common
     return value
 
 
@@ -42,13 +43,11 @@ def has_primitive_prime_divisor(q: int, n: int) -> bool:
 def primitive_prime_divisors(q: int, n: int) -> tuple[int, ...]:
     """All primes of multiplicative order n modulo q, ascending.
 
-    Factors the primitive part, so keep (q, n) at a scale where that value
-    (roughly q^phi(n)) is tractable.
+    The primes of Phi_n(q) that do not divide n.  Factors Phi_n(q), once,
+    so keep (q, n) at a scale where it (roughly q^phi(n)) is tractable.
     """
-    value = primitive_part(q, n)
-    if value == 1:
-        return ()
-    primes = arith.factorize(value).primes
+    _check_args(q, n)
+    primes = tuple(r for r, _ in arith.cyclotomic_factors(n, q) if n % r)
     for r in primes:
         if arith.mult_order(q, r) != n:
             raise AssertionError(

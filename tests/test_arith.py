@@ -148,4 +148,4 @@ def test_is_prime_and_prime_divisors() -> None:
     assert arith.is_prime(257)
     assert not arith.is_prime(1)
     assert not arith.is_prime(91)
-    assert arith.prime_divisors(84) == (2, 3, 7)
+    assert arith.factorize(84).primes == (2, 3, 7)

@@ -6,10 +6,11 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from ordspec import primegraph, spectra
+from ordspec import arith, primegraph, spectra, zsigmondy
 from ordspec.errors import DomainError, UsageError
 from ordspec.spectra import BN, DMINUS, DPLUS, GO8MINUS, O8MINUS, O8PLUS, SP
 
@@ -33,16 +34,47 @@ def _order_by_plain_formula(family: str, n: int, q: int) -> int:
 
 
 def test_orders_match_plain_formula() -> None:
-    cases = [
-        (SP, 2, 3), (SP, 2, 4), (SP, 3, 2), (SP, 4, 2), (SP, 5, 3),
-        (BN, 3, 3), (BN, 4, 5),
-        (DPLUS, 4, 2), (DPLUS, 6, 3), (DMINUS, 4, 2), (DMINUS, 5, 4),
-        (O8PLUS, 4, 3), (O8MINUS, 4, 2), (GO8MINUS, 4, 2),
-    ]
-    for family, n, q in cases:
-        group = spectra.group_id(family, n, q)
+    checked = 0
+    for family, n, q in itertools.product(
+        spectra.FAMILIES, range(2, 9), (2, 3, 4, 5, 8, 9, 16, 27)
+    ):
+        try:
+            group = spectra.group_id(family, n, q)
+        except DomainError:
+            continue
         got = primegraph.group_order(group)
-        assert got.value == _order_by_plain_formula(family, n, q), (family, n, q)
+        assert got.value == _order_by_plain_formula(group.family, n, q), (family, n, q)
+        checked += 1
+    assert checked == 204
+
+
+def test_group_order_and_primitive_primes_share_one_factor_table(
+    monkeypatch,
+) -> None:
+    group = spectra.group_id(DMINUS, 5, 4)
+    calls: Counter = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("divisors", "factorize"):
+        monkeypatch.setattr(arith, name, counted(name, getattr(arith, name)))
+    arith.cyclotomic_factors.cache_clear()
+    order = primegraph.group_order(group)
+    # one factorization per Phi_d(4): d | 2i for i <= 4, and d | 10, d !| 5
+    assert calls["factorize"] == 7
+    calls.clear()
+    assert primegraph.group_order(group) == order
+    assert calls == Counter()
+    for k in (1, 2, 3, 4, 6, 8, 10):
+        zsigmondy.primitive_prime_divisors(4, k)
+    assert calls == Counter()
+    # Phi_5(4) is no factor of |O10-(4)|, so it is factored on first use
+    assert zsigmondy.primitive_prime_divisors(4, 5) == (11, 31)
+    assert calls["factorize"] == 1
 
 
 def test_frozen_orders() -> None:

@@ -261,6 +261,29 @@ def test_excluded_and_unsupported_parameters() -> None:
         spectra.spectrum(spectra.group_id(SP, spectra.MAX_RANK + 1, 2))
 
 
+def test_family_table_names_every_family_and_rejects_others() -> None:
+    names = {
+        (SP, 3, 4): "S6(4)",
+        (BN, 3, 3): "O7(3)",
+        (DPLUS, 6, 5): "O12+(5)",
+        (DMINUS, 5, 4): "O10-(4)",
+        (O8PLUS, 4, 3): "O8+(3)",
+        (O8MINUS, 4, 8): "O8-(8)",
+        (GO8MINUS, 4, 2): "GO8-(2)",
+    }
+    assert spectra.FAMILIES == tuple(family for family, _, _ in names)
+    for key, name in names.items():
+        assert spectra.group_id(*key).name() == name
+    # an unknown family is rejected however the GroupId is made; group_id
+    # splits q first, so a bad q is reported before the family
+    with pytest.raises(DomainError, match="unknown family 'Nope', expected one of"):
+        spectra.GroupId("Nope", 2, 3, 1)
+    with pytest.raises(DomainError, match="unknown family 'Nope', expected one of"):
+        spectra.group_id("Nope", 2, 3)
+    with pytest.raises(DomainError, match="field size 6 is not a prime power"):
+        spectra.group_id("Nope", 2, 6)
+
+
 def test_group_id_normalizes_odd_dimensional_even_q() -> None:
     g = spectra.group_id(BN, 3, 4)
     assert g.family == SP
@@ -299,7 +322,7 @@ def test_generator_primes_divide_group_order() -> None:
         spec = spectra.spectrum(group)
         spec_primes = set()
         for g in spec.gens:
-            spec_primes.update(arith.prime_divisors(g))
+            spec_primes.update(arith.factorize(g).primes)
         # every prime in a generator divides the order, and every prime
         # dividing the order is an element order (Cauchy)
         assert spec_primes == order_primes, key

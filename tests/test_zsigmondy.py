@@ -37,7 +37,7 @@ def test_known_small_sets() -> None:
 
 def test_matches_definition_on_grid() -> None:
     for q in (2, 3, 4, 5, 7, 8, 9):
-        for n in range(1, 13):
+        for n in range(1, 17):
             got = zsigmondy.primitive_prime_divisors(q, n)
             want = _primitive_primes_by_definition(q, n)
             assert got == want, (q, n, got, want)
