@@ -49,9 +49,6 @@ class Factorization:
         """The distinct prime divisors, ascending."""
         return tuple(sorted(self.factors))
 
-    def exponent(self, p: int) -> int:
-        return self.factors.get(p, 0)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

@@ -34,7 +34,7 @@ from itertools import repeat
 
 from . import arith, spectra
 from .errors import DomainError, ResourceError, UsageError
-from .spectra import SpectrumGens
+from .spectra import FULL, SpectrumGens
 
 DEFAULT_CAP = 2_000_000
 
@@ -998,11 +998,11 @@ def enumerate_group(
     pair generates the group; otherwise AssertionError.  Results are
     cached on disk keyed by a format tag and the pair when a cache
     directory is available (argument or ORDSPEC_CACHE_DIR).  Entries are
-    written atomically; an entry that does not parse, whose order is not
-    the formula's, or whose order, centre size and spectrum do not fit
-    together, counts as a miss and is recomputed and overwritten.  An
-    entry that cannot be read (say, a directory in its place) is a miss
-    too; one that cannot be written raises UsageError naming the path."""
+    written atomically; a hit reads only order, centre size and generators.
+    An entry that does not parse, whose order is not the formula's, or
+    whose order, centre size and spectrum do not fit together, is a miss,
+    recomputed and overwritten; so is one that cannot be read (say, a
+    directory in its place).  A failed write raises UsageError naming the path."""
     gens = _generating_pair(family, dim, q)
     want_order = _matrix_group_order(family, dim, q)
     gen_hash = hashlib.sha256(
@@ -1017,10 +1017,9 @@ def enumerate_group(
         try:
             with open(cache_path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            spec = spectra.parse_spectrum(
-                json.dumps(obj["spectrum"], sort_keys=True, separators=(",", ":"))
-            )
             order, centre_size = int(obj["group_order"]), int(obj["centre_size"])
+            stored = tuple(int(g) for g in obj["spectrum"]["gens"])
+            spec = SpectrumGens(f"enumerated[{order}]", FULL, stored)
             if (
                 order == want_order
                 and centre_size >= 1
@@ -1028,7 +1027,7 @@ def enumerate_group(
                 and all((order // centre_size) % g == 0 for g in spec.gens)
             ):
                 return order, centre_size, spec
-        except (OSError, KeyError, TypeError, ValueError, DomainError, UsageError):
+        except (OSError, KeyError, TypeError, ValueError, DomainError):
             pass  # absent or unreadable: recomputed and written below
     group = close_group(gens, cap=cap)
     if len(group) != want_order:

@@ -64,7 +64,8 @@ class GroupId:
 
     `n` is the Lie rank parameter: the group acts on a space of dimension
     2n (Sp, Dplus, Dminus and the dimension-8 families with n = 4) or
-    2n + 1 (Bn).
+    2n + 1 (Bn).  However it is made, a GroupId obeys the rules of group_id,
+    and Bn with even q is rejected: group_id builds it as the isomorphic Sp.
     """
 
     family: str
@@ -77,15 +78,35 @@ class GroupId:
         return self.p**self.m
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        family, n, p = self.family, self.n, self.p
+        if family not in FAMILIES:
             raise DomainError(
-                f"unknown family {self.family!r}, expected one of {FAMILIES}"
+                f"unknown family {family!r}, expected one of {FAMILIES}"
             )
+        if not arith.is_prime(p) or self.m < 1:
+            raise DomainError(f"need a prime p and m >= 1, got p={p}, m={self.m}")
+        if family == SP and n < 2:
+            raise DomainError(f"Sp needs n >= 2, got n={n}")
+        if family == BN and n < 3:
+            raise DomainError(f"O_2n+1 needs n >= 3 (use Sp for n = 2), got n={n}")
+        if family in (DPLUS, DMINUS) and n < 4:
+            raise DomainError(f"{family} needs n >= 4, got n={n}")
+        if family in (O8PLUS, O8MINUS, GO8MINUS) and n != 4:
+            raise DomainError(f"{family} is 8-dimensional, so n must be 4, got n={n}")
+        if family in (O8MINUS, GO8MINUS) and p != 2:
+            raise DomainError(
+                f"{family} spectrum is available for even q only, got q={self.q}"
+            )
+        if family == BN and p == 2:
+            raise DomainError(f"O_2n+1 with even q is normalised to Sp, got q={self.q}")
 
     def name(self) -> str:
-        return _NAME_TEMPLATES[self.family].format_map(
-            {"2n": 2 * self.n, "2n+1": 2 * self.n + 1, "q": self.q}
-        )
+        return group_name(self.family, self.n, self.q)
+
+
+def group_name(family: str, n: int, q: int) -> str:
+    """The family's name at rank n over GF(q), unnormalised: (Bn, 3, 2) is O7(2)."""
+    return _NAME_TEMPLATES[family].format_map({"2n": 2 * n, "2n+1": 2 * n + 1, "q": q})
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
@@ -100,21 +121,11 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 
 def group_id(family: str, n: int, q: int) -> GroupId:
-    """Validated constructor.  Normalizes O_2n+1(q) with even q to S_2n(q),
-    the two being isomorphic."""
+    """Splits q, normalises O_2n+1(q) with even q to the isomorphic S_2n(q)
+    and builds the GroupId, whose constructor checks the rest."""
     p, m = split_prime_power(q)
     if family == BN and p == 2:
         family = SP
-    if family == SP and n < 2:
-        raise DomainError(f"Sp needs n >= 2, got n={n}")
-    if family == BN and n < 3:
-        raise DomainError(f"O_2n+1 needs n >= 3 (use Sp for n = 2), got n={n}")
-    if family in (DPLUS, DMINUS) and n < 4:
-        raise DomainError(f"{family} needs n >= 4, got n={n}")
-    if family in (O8PLUS, O8MINUS, GO8MINUS) and n != 4:
-        raise DomainError(f"{family} is 8-dimensional, so n must be 4, got n={n}")
-    if family in (O8MINUS, GO8MINUS) and p != 2:
-        raise DomainError(f"{family} spectrum is available for even q only, got q={q}")
     return GroupId(family, n, p, m)
 
 
@@ -145,15 +156,14 @@ class SpectrumGens:
                 if b % a == 0:
                     raise DomainError(f"not an antichain: {a} divides {b}")
         if self.part != FULL:
-            p = self.char_excluded()
+            digits = self.part[:-1] if isinstance(self.part, str) else ""
+            p = int(digits) if digits.isascii() and digits.isdigit() else 0
+            if self.part != f"{p}'" or not arith.is_prime(p):
+                raise DomainError(
+                    f"part must be {FULL!r} or p' for a prime p, got {self.part!r}"
+                )
             if any(g % p == 0 for g in gens):
                 raise DomainError(f"{self.part} spectrum contains a multiple of {p}")
-
-    def char_excluded(self) -> int:
-        """The prime excluded by a p'-part label."""
-        if self.part == FULL:
-            raise DomainError("full spectrum excludes no prime")
-        return int(self.part[:-1])
 
 
 def reduce_gens(
@@ -229,6 +239,7 @@ def serialize(spec: SpectrumGens) -> str:
 
 
 def parse_spectrum(text: str) -> SpectrumGens:
+    """Inverse of serialize; JSON that breaks an invariant raises UsageError."""
     try:
         obj = json.loads(text)
         label = obj["label"]
@@ -238,8 +249,6 @@ def parse_spectrum(text: str) -> SpectrumGens:
         if "group" in obj:
             g = obj["group"]
             group = GroupId(g["family"], int(g["n"]), int(g["p"]), int(g["m"]))
-            if group_id(group.family, group.n, group.q) != group:
-                raise DomainError(f"{group} is not a group that group_id builds")
         return SpectrumGens(label, part, gens, group)
     except (DomainError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed spectrum serialization: {exc}") from exc

@@ -30,7 +30,7 @@ from . import oracle, primegraph, spectra, zsigmondy
 from .errors import DomainError, OrdspecError, UnsupportedError, UsageError
 from .spectra import (
     BN, DMINUS, DPLUS, FULL, GO8MINUS, O8MINUS, O8PLUS, PPRIME, SP,
-    SpectrumGens,
+    SpectrumGens, group_name,
 )
 
 PASS = "pass"
@@ -162,14 +162,6 @@ def _full_spectrum(group: spectra.GroupId) -> SpectrumGens | None:
         return None
 
 
-def _bn_or_sp(n: int, q: int) -> spectra.GroupId:
-    """The odd-dimensional orthogonal group; for n = 2 or even q this is the
-    isomorphic symplectic group."""
-    if n >= 3:
-        return spectra.group_id(BN, n, q)
-    return spectra.group_id(SP, n, q)
-
-
 # ---------------------------------------------------------------------------
 # spectrum difference checks
 
@@ -276,10 +268,10 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
     elif item == "v":
         if n < 2:
             raise DomainError("item (v) needs n >= 2")
-        lower = spectra.spectrum(_bn_or_sp(n, q))
+        lower = spectra.spectrum(spectra.group_id(BN if n >= 3 else SP, n, q))
         upper = spectra.spectrum(spectra.group_id(SP, n, q))
         claims.append(_sub_claim(
-            f"spectrum of O{2*n+1}({q}) is contained in that of {upper.label}",
+            f"spectrum of {group_name(BN, n, q)} is contained in that of {upper.label}",
             lower, upper,
         ))
     elif item == "vi":
@@ -290,29 +282,30 @@ def check_diff(item: str, n: int, q: int) -> CheckReport:
             )
         low = spectra.spectrum_p_prime(spectra.group_id(BN, n - 1, q))
         high = spectra.spectrum_p_prime(spectra.group_id(BN, n, q))
+        o_low, o_high = group_name(BN, n - 1, q), group_name(BN, n, q)
         for fam in (DPLUS, DMINUS):
             mid = spectra.spectrum_p_prime(spectra.group_id(fam, n, q))
             claims.append(_sub_claim(
-                f"p'-spectrum of O{2*n-1}({q}) within that of {mid.label}",
+                f"p'-spectrum of {o_low} within that of {mid.label}",
                 low, mid,
             ))
             claims.append(_sub_claim(
-                f"p'-spectrum of {mid.label} within that of O{2*n+1}({q})",
+                f"p'-spectrum of {mid.label} within that of {o_high}",
                 mid, high,
             ))
         if n == 4:
-            lo_full = spectra.spectrum(_bn_or_sp(3, q))
+            lo_full = spectra.spectrum(spectra.group_id(BN, 3, q))
             hi_full = spectra.spectrum(spectra.group_id(BN, 4, q))
             mids = [spectra.spectrum(spectra.group_id(O8PLUS, 4, q))]
             if p == 2:
                 mids.append(spectra.spectrum(spectra.group_id(O8MINUS, 4, q)))
             for mid in mids:
                 claims.append(_sub_claim(
-                    f"full spectrum of O7({q}) within that of {mid.label}",
+                    f"full spectrum of {o_low} within that of {mid.label}",
                     lo_full, mid,
                 ))
                 claims.append(_sub_claim(
-                    f"full spectrum of {mid.label} within that of O9({q})",
+                    f"full spectrum of {mid.label} within that of {o_high}",
                     mid, hi_full,
                 ))
     else:

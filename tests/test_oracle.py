@@ -660,6 +660,21 @@ def test_enumerate_group_rejects_tampered_cache(tmp_path) -> None:
         "GOplus", 4, 2, cache_dir=str(tmp_path)
     )
     assert (order, centre_size, spec.gens) == (72, 1, (4, 6))
+    # a hit reads only the generators: a stored label, part or group is
+    # never returned, and a part that names no prime breaks nothing
+    relabelled = {
+        "label": "S4(3)",
+        "part": "5'",
+        "group": {"family": "Sp", "n": 2, "p": 3, "m": 1},
+    }
+    for stored in ({"part": "0'"}, relabelled):
+        spectrum = {**good["spectrum"], **stored}
+        entry.write_text(json.dumps({**good, "spectrum": spectrum}), encoding="utf-8")
+        order, centre_size, spec = oracle.enumerate_group(
+            "GOplus", 4, 2, cache_dir=str(tmp_path)
+        )
+        assert (order, centre_size, spec.gens) == (72, 1, (4, 6)), stored
+        assert (spec.label, spec.part, spec.group) == ("enumerated[72]", "full", None)
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,14 @@ def test_parse_rejects_well_formed_json_that_breaks_an_invariant() -> None:
     ):
         with pytest.raises(UsageError):
             spectra.parse_spectrum(json.dumps({**good, **bad}))
+    # no generator is a multiple of 4 or -3, so only the part itself is wrong
+    for part in ("0'", "4'", "-3'", "x'", "03'", 3):
+        with pytest.raises(UsageError):
+            spectra.parse_spectrum(
+                json.dumps({**good, "part": part, "gens": ["5", "7"]})
+            )
+        with pytest.raises(DomainError):
+            spectra.SpectrumGens("x", part, (5, 7))
 
 
 def test_p_prime_is_strip_of_full_where_both_exist() -> None:
@@ -259,6 +267,26 @@ def test_excluded_and_unsupported_parameters() -> None:
         spectra.spectrum(spectra.group_id(DPLUS, 5, 2))
     with pytest.raises(UnsupportedError):
         spectra.spectrum(spectra.group_id(SP, spectra.MAX_RANK + 1, 2))
+
+
+def test_hand_built_group_id_obeys_the_rules_of_group_id() -> None:
+    # the group_id rejections above, with the same text where q is prime
+    for family, n, q in ((SP, 1, 3), (BN, 2, 3), (DPLUS, 3, 3), (O8MINUS, 4, 3)):
+        with pytest.raises(DomainError) as by_group_id:
+            spectra.group_id(family, n, q)
+        with pytest.raises(DomainError) as by_hand:
+            spectra.GroupId(family, n, q, 1)
+        assert str(by_hand.value) == str(by_group_id.value)
+    for args in ((SP, 4, 6, 1), (SP, 2, 4, 1), (SP, 2, 3, 0), (GO8MINUS, 4, 3, 1)):
+        with pytest.raises(DomainError):
+            spectra.GroupId(*args)
+    # O7(2) exists only in its normal form S6(2), with the S6(2) spectrum
+    with pytest.raises(DomainError, match="O_2n\\+1 with even q is normalised to Sp"):
+        spectra.GroupId(BN, 3, 2, 1)
+    o7_2 = spectra.group_id(BN, 3, 2)
+    assert (o7_2.family, o7_2.name()) == (SP, "S6(2)")
+    assert spectra.spectrum(o7_2).gens == FROZEN_FULL[(SP, 3, 2)]
+    assert spectra.group_name(BN, 3, 2) == "O7(2)"
 
 
 def test_family_table_names_every_family_and_rejects_others() -> None:
