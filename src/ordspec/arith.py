@@ -1,23 +1,27 @@
 """Exact integer arithmetic: factorizations, prime parts, multiplicative orders.
 
-Thin, validated wrappers around sympy's number theory, cyclotomic values
-computed in integers, and the one memoised table of their factorizations.
-Everything works on arbitrary-precision ints; nothing here is probabilistic
-in a way that can return a wrong answer silently (sympy's isprime is strong
-BPSW + Miller-Rabin, with no known pseudoprime, and is proven deterministic
-well past every value this package feeds it).
+Below 2^20, factoring, primality and divisors are exact trial division.
+Above it they call sympy's factorint and isprime, imported inside the call,
+so starting the package never loads sympy.  Nothing here is probabilistic in
+a way that can return a wrong answer silently: isprime is strong BPSW +
+Miller-Rabin, with no known pseudoprime, and is proven deterministic well
+past every value this package feeds it.  Cyclotomic values are computed in
+integers, and one memoised table holds their factorizations; Phi_n(p^k) is
+merged from the smaller Phi_m(p), which every power of p shares.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from sympy import divisors as _sympy_divisors
-from sympy import factorint, isprime
-from sympy.ntheory.residue_ntheory import n_order
-
 from .errors import DomainError
+
+# Below this, trial division needs divisors up to 2^10 only; larger values
+# go to sympy.
+_TRIAL_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ class Factorization:
             raise DomainError(f"factorization of non-positive value {self.value}")
         prod = 1
         for p, e in self.factors.items():
-            if e < 1 or not isprime(p):
+            if e < 1 or not is_prime(p):
                 raise DomainError(f"bad factor entry {p}^{e}")
             prod *= p**e
         if prod != self.value:
@@ -58,29 +62,54 @@ class Factorization:
         )
 
 
+def _factor(a: int) -> dict[int, int]:
+    """prime -> exponent of a >= 1, primes ascending."""
+    if a >= _TRIAL_LIMIT:
+        from sympy import factorint
+
+        return {int(p): int(e) for p, e in sorted(factorint(a).items())}
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= a:
+        while a % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            a //= d
+        d += 1 if d == 2 else 2
+    if a > 1:
+        factors[a] = factors.get(a, 0) + 1
+    return factors
+
+
 def factorize(a: int) -> Factorization:
     """Full prime factorization of a positive integer."""
     if a < 1:
         raise DomainError(f"cannot factorize {a}")
-    return Factorization(a, {int(p): int(e) for p, e in factorint(a).items()})
+    return Factorization(a, _factor(a))
 
 
 def is_prime(n: int) -> bool:
-    return bool(isprime(n))
+    if n >= _TRIAL_LIMIT:
+        from sympy import isprime
+
+        return bool(isprime(n))
+    return _factor(n) == {n: 1}
 
 
 def divisors(a: int) -> list[int]:
     """All positive divisors of a, ascending."""
     if a < 1:
         raise DomainError(f"divisors of non-positive value {a}")
-    return [int(d) for d in _sympy_divisors(a)]
+    divs = [1]
+    for p, e in _factor(a).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def r_part(a: int, r: int) -> int:
     """The r-part of a: the largest power of the prime r dividing a."""
     if a < 1:
         raise DomainError(f"r_part of non-positive value {a}")
-    if not isprime(r):
+    if not is_prime(r):
         raise DomainError(f"r_part needs a prime, got r={r}")
     part = 1
     while a % r == 0:
@@ -95,12 +124,17 @@ def coprime_part(a: int, r: int) -> int:
 
 
 def mult_order(q: int, r: int) -> int:
-    """Multiplicative order of q modulo the prime r (requires r coprime to q)."""
-    if not isprime(r):
+    """Multiplicative order of q modulo the prime r (requires r coprime to q):
+    r - 1 with each prime s removed while q^(order/s) is still 1 mod r."""
+    if not is_prime(r):
         raise DomainError(f"mult_order needs a prime modulus, got r={r}")
     if q % r == 0:
         raise DomainError(f"{q} is divisible by {r}, order undefined")
-    return int(n_order(q, r))
+    order = r - 1
+    for s in _factor(order):
+        while order % s == 0 and pow(q, order // s, r) == 1:
+            order //= s
+    return order
 
 
 # Bounded so that a long-running caller sweeping many (n, q) does not grow
@@ -123,5 +157,18 @@ def cyclotomic_value(n: int, q: int) -> int:
 # entry (a Factorization holds a mutable dict).
 @lru_cache(maxsize=4096)
 def cyclotomic_factors(n: int, q: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of Phi_n(q), primes ascending."""
-    return tuple(sorted(factorize(cyclotomic_value(n, q)).factors.items()))
+    """The (prime, exponent) pairs of Phi_n(q), primes ascending.
+
+    For q = p^k with k > 1, Phi_n(x^k) is the product of the Phi_m(x) over
+    the m dividing n*k with m / gcd(m, k) = n, so Phi_n(q) is merged from
+    those Phi_m(p) instead of being factored whole."""
+    base = _factor(q)
+    if len(base) != 1 or q in base:  # q is prime, or not a prime power
+        return tuple(sorted(factorize(cyclotomic_value(n, q)).factors.items()))
+    ((p, k),) = base.items()
+    merged: Counter = Counter()
+    for m in divisors(n * k):
+        if m // math.gcd(m, k) == n:
+            for r, e in cyclotomic_factors(m, p):
+                merged[r] += e
+    return tuple(sorted(merged.items()))

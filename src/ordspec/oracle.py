@@ -985,6 +985,19 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
 _CACHE_FORMAT = "enumerate_group/3"
 
 
+def _fits_order(order: int, gens) -> bool:
+    """Whether gens can be the whole spectrum of a group of this order:
+    each divides the order, and each prime of the order divides one of them
+    (Cauchy's theorem).  The primes are checked without factoring, by
+    stripping common factors with lcm(gens) until none is left."""
+    if any(order % g for g in gens):
+        return False
+    lcm = math.lcm(*gens)
+    while (common := math.gcd(order, lcm)) > 1:
+        order //= common
+    return order == 1
+
+
 def enumerate_group(
     family: str,
     dim: int,
@@ -1000,9 +1013,11 @@ def enumerate_group(
     directory is available (argument or ORDSPEC_CACHE_DIR).  Entries are
     written atomically; a hit reads only order, centre size and generators.
     An entry that does not parse, whose order is not the formula's, or
-    whose order, centre size and spectrum do not fit together, is a miss,
-    recomputed and overwritten; so is one that cannot be read (say, a
-    directory in its place).  A failed write raises UsageError naming the path."""
+    whose order, centre size and spectrum do not fit together (a generator
+    not dividing |G|/|Z|, or a prime of |G|/|Z| dividing no generator), is
+    a miss, recomputed and overwritten; so is one that cannot be read (say,
+    a directory in its place).  A failed write raises UsageError naming the
+    path."""
     gens = _generating_pair(family, dim, q)
     want_order = _matrix_group_order(family, dim, q)
     gen_hash = hashlib.sha256(
@@ -1024,7 +1039,7 @@ def enumerate_group(
                 order == want_order
                 and centre_size >= 1
                 and order % centre_size == 0
-                and all((order // centre_size) % g == 0 for g in spec.gens)
+                and _fits_order(order // centre_size, spec.gens)
             ):
                 return order, centre_size, spec
         except (OSError, KeyError, TypeError, ValueError, DomainError):

@@ -64,8 +64,10 @@ def group_order(group: GroupId) -> arith.Factorization:
 @dataclass(frozen=True)
 class PrimeGraph:
     """Vertices are primes dividing the group order; r ~ s iff the group
-    has an element of order rs.  `part` restricts to the p'-spectrum, in
-    which case the characteristic is not a vertex."""
+    has an element of order rs.  `part` is "full", or p' for the graph of
+    the p'-spectrum, in which case the characteristic p is not a vertex.
+    Primality of the vertices is left to whoever supplies them (parse_graph
+    checks it; build_graph reads them from a checked Factorization)."""
 
     label: str
     part: str
@@ -79,6 +81,9 @@ class PrimeGraph:
         for r, s in self.edges:
             if r >= s or r not in self.vertices or s not in self.vertices:
                 raise DomainError(f"bad edge ({r}, {s})")
+        p = spectra.part_prime(self.part)
+        if p is not None and p in self.vertices:
+            raise DomainError(f"{self.part} graph has the vertex {p}")
         object.__setattr__(self, "edge_set", frozenset(self.edges))
 
     def has_vertex(self, r: int) -> bool:
@@ -172,11 +177,15 @@ def export_graph(graph: PrimeGraph) -> str:
 def parse_graph(text: str) -> PrimeGraph:
     try:
         obj = json.loads(text)
-        return PrimeGraph(
+        graph = PrimeGraph(
             obj["label"],
             obj["part"],
             tuple(int(v) for v in obj["vertices"]),
             tuple((int(r), int(s)) for r, s in obj["edges"]),
         )
+        for v in graph.vertices:
+            if not arith.is_prime(v):
+                raise DomainError(f"vertex {v} is not a prime")
+        return graph
     except (DomainError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed graph serialization: {exc}") from exc

@@ -155,15 +155,21 @@ class SpectrumGens:
             for b in gens[i + 1 :]:
                 if b % a == 0:
                     raise DomainError(f"not an antichain: {a} divides {b}")
-        if self.part != FULL:
-            digits = self.part[:-1] if isinstance(self.part, str) else ""
-            p = int(digits) if digits.isascii() and digits.isdigit() else 0
-            if self.part != f"{p}'" or not arith.is_prime(p):
-                raise DomainError(
-                    f"part must be {FULL!r} or p' for a prime p, got {self.part!r}"
-                )
-            if any(g % p == 0 for g in gens):
-                raise DomainError(f"{self.part} spectrum contains a multiple of {p}")
+        p = part_prime(self.part)
+        if p is not None and any(g % p == 0 for g in gens):
+            raise DomainError(f"{self.part} spectrum contains a multiple of {p}")
+
+
+def part_prime(part: str) -> int | None:
+    """None for the part "full", p for the part p' of a prime p (e.g. "3'");
+    any other part is a DomainError.  Spectra and prime graphs both obey it."""
+    if part == FULL:
+        return None
+    digits = part[:-1] if isinstance(part, str) else ""
+    p = int(digits) if digits.isascii() and digits.isdigit() else 0
+    if part != f"{p}'" or not arith.is_prime(p):
+        raise DomainError(f"part must be {FULL!r} or p' for a prime p, got {part!r}")
+    return p
 
 
 def reduce_gens(

@@ -1,4 +1,4 @@
-"""Unit tests for the validated arithmetic wrappers."""
+"""Unit tests for the exact arithmetic, with sympy as the reference."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 
 import pytest
 import sympy
+from sympy.ntheory.residue_ntheory import n_order
 from sympy.polys.specialpolys import cyclotomic_poly
 
 from ordspec import arith
@@ -147,3 +148,42 @@ def test_is_prime_and_prime_divisors() -> None:
     assert not arith.is_prime(1)
     assert not arith.is_prime(91)
     assert arith.factorize(84).primes == (2, 3, 7)
+
+
+def _agrees_with_sympy(values) -> None:
+    """factorize, is_prime, divisors and mult_order against sympy's
+    factorint, isprime, divisors and n_order at every value given."""
+    for a in values:
+        assert arith.factorize(a).factors == sympy.factorint(a), a
+        assert arith.is_prime(a) == sympy.isprime(a), a
+        assert arith.divisors(a) == sympy.divisors(a), a
+        if sympy.isprime(a):
+            for q in (2, 3, 10, 4096, a + 1, a - 1, 2 * a + 5):
+                if q % a:
+                    assert arith.mult_order(q, a) == n_order(q, a), (q, a)
+
+
+def test_small_values_agree_with_sympy() -> None:
+    _agrees_with_sympy(range(1, 20001))
+
+
+def test_values_straddling_the_trial_division_limit_agree_with_sympy() -> None:
+    _agrees_with_sympy(range(2**20 - 1500, 2**20 + 1500))
+
+
+def test_prime_power_cyclotomic_factors_merge_prime_base_pieces() -> None:
+    """For q = p^k with k > 1 the table merges the factored Phi_m(p); that
+    must equal Phi_n(q) factored whole.  A prime q is factored whole by the
+    table itself, so it is left out; q = 6 and 10 are not prime powers and
+    must not be split."""
+    powers = [
+        q for q in range(4, 257)
+        if len(f := arith.factorize(q).factors) == 1 and q not in f
+    ]
+    assert len(powers) == 16
+    for q in powers + [6, 10]:
+        for n in range(1, 25):
+            whole = arith.factorize(arith.cyclotomic_value(n, q))
+            assert arith.cyclotomic_factors(n, q) == tuple(
+                sorted(whole.factors.items())
+            ), (n, q)

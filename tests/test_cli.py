@@ -5,8 +5,14 @@ round-trips, and the exit code contract (0 ok, 1 failed check, 2 usage,
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ordspec
 
 from ordspec import cli, primegraph, spectra, verify
 
@@ -21,6 +27,26 @@ def test_spectrum_text(capsys) -> None:
     code, out, _ = _run(capsys, "spectrum", "Sp", "2", "3")
     assert code == 0
     assert out == "5 9 12\n"
+
+
+def test_start_up_does_not_import_sympy() -> None:
+    """sympy is imported on first use above 2^20, so neither importing the
+    CLI nor `spectrum Sp 2 3` loads it (checked in a fresh interpreter)."""
+    script = (
+        "import sys\n"
+        "import ordspec.cli\n"
+        "assert 'sympy' not in sys.modules, 'import ordspec.cli'\n"
+        "assert ordspec.cli.main(['spectrum', 'Sp', '2', '3']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'spectrum Sp 2 3'\n"
+    )
+    src = str(Path(ordspec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5 9 12\n"
 
 
 def test_spectrum_o8minus(capsys) -> None:

@@ -643,6 +643,8 @@ def test_enumerate_group_rejects_tampered_cache(tmp_path) -> None:
         ("centre_size", 0),
         ("centre_size", 5),
         ("spectrum", {**good["spectrum"], "gens": []}),
+        # every generator divides 72, but no generator is divisible by 3
+        ("spectrum", {**good["spectrum"], "gens": ["4"]}),
     )
     # consistent in itself (144 = 4 * 36 = 6 * 24) but not the order of
     # GO+(4, 2), so only the formula order exposes it

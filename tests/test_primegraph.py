@@ -52,11 +52,17 @@ def test_group_order_and_primitive_primes_share_one_factor_table(
     monkeypatch,
 ) -> None:
     group = spectra.group_id(DMINUS, 5, 4)
+    # q = 4 = 2^2, so each Phi_d(4) with d | 2i for i <= 4, or d | 10 and
+    # d !| 5, is merged from the Phi_m(2) with m | 2d and m / (m, 2) = d
+    pieces = [arith.cyclotomic_value(m, 2) for m in (1, 2, 3, 4, 6, 8, 12, 16, 20)]
     calls: Counter = Counter()
+    factored: list[int] = []
 
     def counted(name, real):
         def wrapper(*args):
             calls[name] += 1
+            if name == "factorize":
+                factored.append(args[0])
             return real(*args)
         return wrapper
 
@@ -64,17 +70,21 @@ def test_group_order_and_primitive_primes_share_one_factor_table(
         monkeypatch.setattr(arith, name, counted(name, getattr(arith, name)))
     arith.cyclotomic_factors.cache_clear()
     order = primegraph.group_order(group)
-    # one factorization per Phi_d(4): d | 2i for i <= 4, and d | 10, d !| 5
-    assert calls["factorize"] == 7
+    # one factorization per Phi_m(2), and nothing else is factored
+    assert calls["factorize"] == 9
+    assert sorted(factored) == sorted(pieces)
     calls.clear()
+    factored.clear()
     assert primegraph.group_order(group) == order
     assert calls == Counter()
     for k in (1, 2, 3, 4, 6, 8, 10):
         zsigmondy.primitive_prime_divisors(4, k)
     assert calls == Counter()
-    # Phi_5(4) is no factor of |O10-(4)|, so it is factored on first use
+    # Phi_5(4) = Phi_5(2) * Phi_10(2) is no factor of |O10-(4)|, so its two
+    # pieces are factored on first use
     assert zsigmondy.primitive_prime_divisors(4, 5) == (11, 31)
-    assert calls["factorize"] == 1
+    assert calls["factorize"] == 2
+    assert sorted(factored) == [11, 31]
 
 
 def test_frozen_orders() -> None:
@@ -200,6 +210,11 @@ def test_graph_validation_and_errors() -> None:
         primegraph.PrimeGraph("x", "full", (3, 2), ())
     with pytest.raises(DomainError):
         primegraph.PrimeGraph("x", "full", (2, 3), ((3, 2),))
+    for part in ("0'", "4'", "3", "full'"):
+        with pytest.raises(DomainError):
+            primegraph.PrimeGraph("x", part, (2, 5), ())
+    with pytest.raises(DomainError):
+        primegraph.PrimeGraph("x", "3'", (2, 3), ())
 
 
 def test_export_parse_round_trip() -> None:
@@ -217,7 +232,16 @@ def test_parse_rejects_well_formed_json_that_breaks_an_invariant() -> None:
     good = json.loads(primegraph.export_graph(
         primegraph.build_graph(spectra.group_id(SP, 2, 3))
     ))
-    for bad in ({"vertices": [3, 2]}, {"edges": [[3, 2]]}, {"edges": [[2, 7]]}):
+    for bad in (
+        {"vertices": [3, 2]},
+        {"edges": [[3, 2]]},
+        {"edges": [[2, 7]]},
+        {"part": "0'", "vertices": [1, 4], "edges": [[1, 4]]},
+        {"part": "4'"},
+        {"part": "3'"},
+        {"vertices": [2, 3, 5, 9]},
+        {"vertices": [1, 2, 3, 5]},
+    ):
         with pytest.raises(UsageError):
             primegraph.parse_graph(json.dumps({**good, **bad}))
 
