@@ -163,7 +163,8 @@ def cyclotomic_factors(n: int, q: int) -> tuple[tuple[int, int], ...]:
     the m dividing n*k with m / gcd(m, k) = n, so Phi_n(q) is merged from
     those Phi_m(p) instead of being factored whole."""
     base = _factor(q)
-    if len(base) != 1 or q in base:  # q is prime, or not a prime power
+    # q prime, or not a prime power; cyclotomic_value also rejects n < 1
+    if len(base) != 1 or q in base or n < 1:
         return tuple(sorted(factorize(cyclotomic_value(n, q)).factors.items()))
     ((p, k),) = base.items()
     merged: Counter = Counter()

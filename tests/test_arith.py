@@ -119,6 +119,9 @@ def test_cyclotomic_values() -> None:
         arith.cyclotomic_value(0, 5)
     with pytest.raises(DomainError):
         arith.cyclotomic_value(3, 1)
+    for n, q in ((0, 5), (0, 4), (-1, 4), (3, 1)):
+        with pytest.raises(DomainError, match="cyclotomic_value needs"):
+            arith.cyclotomic_factors(n, q)
 
 
 def test_cyclotomic_value_matches_sympy_polynomial() -> None:
