@@ -17,14 +17,11 @@ from .primegraph import (
     build_graph,
     find_cocliques,
     group_order,
-    is_coclique,
-    neighbourhood,
 )
 from .spectra import (
     GroupId,
     SpectrumGens,
     contains,
-    divisor_closure,
     equals,
     group_id,
     is_sub_spectrum,
@@ -50,7 +47,6 @@ from .zsigmondy import (
     has_primitive_prime_divisor,
     primitive_part,
     primitive_prime_divisors,
-    zsigmondy_prime,
 )
 
 __version__ = "0.1.0"
@@ -74,15 +70,12 @@ __all__ = [
     "check_membership",
     "contains",
     "default_config",
-    "divisor_closure",
     "equals",
     "find_cocliques",
     "group_id",
     "group_order",
     "has_primitive_prime_divisor",
-    "is_coclique",
     "is_sub_spectrum",
-    "neighbourhood",
     "parse_spectrum",
     "primitive_part",
     "primitive_prime_divisors",
@@ -92,5 +85,4 @@ __all__ = [
     "spectrum",
     "spectrum_p_prime",
     "suite_passed",
-    "zsigmondy_prime",
 ]

@@ -12,9 +12,9 @@ the full standard generator lists.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
-operations are table lookups.  MatrixGF is the plain reference arithmetic
-on square matrices; closure, centre, element orders, sampling and the
-order of the twisted element run on one engine for every field, in which
+operations are table lookups.  Every matrix product, whether MatrixGF's
+or one inside closure, centre, element orders, sampling and the order of
+the twisted element, runs on one engine per field and dimension, in which
 a whole matrix is one int holding the base-p digits of its entries, a row
 is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
 p), and a product is a few table lookups per row.  Every order is read off
@@ -217,14 +217,16 @@ def _engine(fld: Field, dim: int) -> _Engine:
 
 
 class MatrixGF:
-    """An immutable square matrix over a Field: the plain reference
-    arithmetic, entry by entry, that the packed engine is tested against."""
+    """An immutable square matrix over a Field, with at least one row.  Its
+    product runs on the packed engine for its field and dimension."""
 
     __slots__ = ("field", "rows")
 
     def __init__(self, fld: Field, rows):
         rows = tuple(tuple(r) for r in rows)
         dim = len(rows)
+        if not dim:
+            raise DomainError("matrix must have at least one row")
         for r in rows:
             if len(r) != dim:
                 raise DomainError("matrix must be square")
@@ -255,16 +257,14 @@ class MatrixGF:
         return MatrixGF(self.field, tuple(zip(*self.rows)))
 
     def __mul__(self, other: MatrixGF) -> MatrixGF:
-        f = self.field
-        if other.field is not f:
-            raise DomainError("matrices over different fields")
-        cols_b = tuple(zip(*other.rows))
-        out = []
-        for arow in self.rows:
-            out.append(tuple(
-                _dot(f, arow, bcol) for bcol in cols_b
-            ))
-        return MatrixGF(f, out)
+        f, d = self.field, self.dim
+        # the engine packs rows at its own width, so a mixed ring would
+        # multiply blocks rather than fail
+        if other.field is not f or other.dim != d:
+            raise DomainError("matrices over different matrix rings")
+        eng = _engine(f, d)
+        key = eng.mul(eng.encode(self.rows), eng.tables(eng.encode(other.rows)))
+        return MatrixGF(f, eng.decode(key))
 
     def inverse(self) -> MatrixGF:
         f, d = self.field, self.dim
@@ -289,14 +289,6 @@ class MatrixGF:
 
     def __repr__(self) -> str:
         return f"MatrixGF({self.field}, {self.rows})"
-
-
-def _dot(f: Field, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 def _sub_multiple(f: Field, row, c: int, other) -> list:
@@ -670,8 +662,9 @@ def _form(family: str, fld: Field, dim: int) -> MatrixGF:
 def _transvection(fld: Field, dim: int, v, lam: int) -> MatrixGF:
     """x -> x + lam * B(x, v) * v for the alternating form B; preserves the
     form for every v and lam."""
-    j = _form("Sp", fld, dim)
-    jv = [_dot(fld, row, v) for row in j.rows]
+    # J is antidiagonal, so (J v)_i is J[i][dim - 1 - i] * v[dim - 1 - i]
+    j = _form("Sp", fld, dim).rows
+    jv = [fld.mul(j[i][dim - 1 - i], v[dim - 1 - i]) for i in range(dim)]
     rows = [
         tuple(
             fld.add(1 if i == k else 0, fld.mul(lam, fld.mul(v[i], jv[k])))

@@ -86,12 +86,9 @@ class PrimeGraph:
             raise DomainError(f"{self.part} graph has the vertex {p}")
         object.__setattr__(self, "edge_set", frozenset(self.edges))
 
-    def has_vertex(self, r: int) -> bool:
-        return r in self.vertices
-
     def adjacent(self, r: int, s: int) -> bool:
         for v in (r, s):
-            if not self.has_vertex(v):
+            if v not in self.vertices:
                 raise DomainError(f"{v} is not a vertex of {self.label}")
         if r == s:
             return False
@@ -123,17 +120,6 @@ def build_graph(group: GroupId, part: str = FULL) -> PrimeGraph:
     return graph_from_spectrum(spec, verts)
 
 
-def is_coclique(graph: PrimeGraph, primes) -> bool:
-    """Whether the given vertices are pairwise nonadjacent."""
-    vals = sorted(set(primes))
-    for v in vals:
-        if not graph.has_vertex(v):
-            raise DomainError(f"{v} is not a vertex of {graph.label}")
-    return all(
-        not graph.adjacent(r, s) for r, s in itertools.combinations(vals, 2)
-    )
-
-
 def find_cocliques(graph: PrimeGraph, size: int) -> list[tuple[int, ...]]:
     """All cocliques of exactly the given size, lexicographically sorted."""
     if size < 1:
@@ -154,13 +140,6 @@ def find_cocliques(graph: PrimeGraph, size: int) -> list[tuple[int, ...]]:
             for w in sorted(cand)
         ]
     return [combo + (w,) for combo, cand in level for w in sorted(cand)]
-
-
-def neighbourhood(graph: PrimeGraph, r: int) -> tuple[int, ...]:
-    """All vertices adjacent to r, ascending."""
-    if not graph.has_vertex(r):
-        raise DomainError(f"{r} is not a vertex of {graph.label}")
-    return tuple(s for s in graph.vertices if s != r and graph.adjacent(r, s))
 
 
 def export_graph(graph: PrimeGraph) -> str:

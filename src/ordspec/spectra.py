@@ -218,15 +218,6 @@ def equals(a: SpectrumGens, b: SpectrumGens) -> bool:
     return a.gens == b.gens
 
 
-def divisor_closure(spec: SpectrumGens) -> list[int]:
-    """Every element of the represented set, ascending.  Intended for small
-    generator lists (oracle-scale comparisons)."""
-    out: set[int] = set()
-    for g in spec.gens:
-        out.update(arith.divisors(g))
-    return sorted(out)
-
-
 def serialize(spec: SpectrumGens) -> str:
     """Canonical JSON form; equal spectra serialize byte-identically."""
     obj = {

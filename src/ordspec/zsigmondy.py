@@ -55,10 +55,3 @@ def primitive_prime_divisors(q: int, n: int) -> tuple[int, ...]:
                 f"but has order {arith.mult_order(q, r)}"
             )
     return primes
-
-
-def zsigmondy_prime(q: int, n: int) -> int | None:
-    """The smallest primitive prime divisor, or None when there is none."""
-    primes = primitive_prime_divisors(q, n)
-    return primes[0] if primes else None
-

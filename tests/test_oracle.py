@@ -7,8 +7,8 @@ over all 4x4 GF(2) matrices (GO4+(2)), the exceptional isomorphism
 PSU4(2) = PSp4(3) as a cross-check between two unrelated generator sets,
 and per-element brute force for the centre (every element tested against
 every generator) and for element orders (every element powered until it
-lands in the centre), and MatrixGF's entry-by-entry products for the
-packed closure engine.
+lands in the centre), and an entry-by-entry matrix product, kept here,
+for the packed engine behind every product in the oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +28,25 @@ from ordspec.errors import DomainError, ResourceError, UsageError
 
 def _field_elements(fld: oracle.Field) -> range:
     return range(fld.q)
+
+
+def _dot(f: oracle.Field, a, b) -> int:
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def _product(a: oracle.MatrixGF, b: oracle.MatrixGF) -> oracle.MatrixGF:
+    """a * b entry by entry, from the field's add and mul alone: the
+    reference that the packed engine is tested against."""
+    f = a.field
+    assert b.field is f and b.dim == a.dim
+    cols_b = tuple(zip(*b.rows))
+    return oracle.MatrixGF(
+        f, [tuple(_dot(f, arow, bcol) for bcol in cols_b) for arow in a.rows]
+    )
 
 
 def test_field_axioms_sampled() -> None:
@@ -142,6 +161,14 @@ def test_matrix_immutable_and_validated() -> None:
         oracle.MatrixGF(fld, [[0, 1]])
     with pytest.raises(DomainError):
         oracle.MatrixGF(fld, [[0, 5], [1, 1]])
+    with pytest.raises(DomainError):
+        oracle.MatrixGF(fld, [])
+    # a product across rings is refused before either factor is packed,
+    # since the engine would otherwise multiply the top-left blocks
+    with pytest.raises(DomainError, match="different matrix rings"):
+        mat * oracle.MatrixGF.identity(oracle.field_of_order(9), 2)
+    with pytest.raises(DomainError, match="different matrix rings"):
+        mat * oracle.MatrixGF.identity(fld, 3)
 
 
 def test_transvections_preserve_symplectic_form() -> None:
@@ -360,7 +387,7 @@ def _brute_force_orders(group, centre) -> set[int]:
     for mat in _elements(group):
         acc, order = mat, 1
         while acc not in centre:
-            acc, order = acc * mat, order + 1
+            acc, order = _product(acc, mat), order + 1
         orders.add(order)
     return orders
 
@@ -369,7 +396,7 @@ def _brute_force_centre(group) -> set[oracle.MatrixGF]:
     return {
         m
         for m in _elements(group)
-        if all(m * g == g * m for g in group.generators)
+        if all(_product(m, g) == _product(g, m) for g in group.generators)
     }
 
 
@@ -573,9 +600,10 @@ def test_engine_is_shared_and_unchanged_by_use() -> None:
 
 
 def test_engine_matches_matrix_reference() -> None:
-    """The packed engine against MatrixGF: encode/decode round-trip and
-    products, over fields of both characteristics with one or several
-    digits per entry, in dimensions 1 to 6."""
+    """The packed engine, directly and behind MatrixGF's product, against
+    the entry-by-entry product: encode/decode round-trip and products, over
+    fields of both characteristics with one or several digits per entry, in
+    dimensions 1 to 6."""
     rng = random.Random(53)
     qs = (2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 64, 81, 243, 1024, 2187, 4096)
     for q in qs:
@@ -593,7 +621,9 @@ def test_engine_matches_matrix_reference() -> None:
                 key_a = eng.encode(a.rows)
                 assert eng.decode(key_a) == a.rows, (q, dim)
                 product = eng.mul(key_a, eng.tables(eng.encode(b.rows)))
-                assert eng.decode(product) == (a * b).rows, (q, dim)
+                want = _product(a, b)
+                assert eng.decode(product) == want.rows, (q, dim)
+                assert a * b == want, (q, dim)
 
 
 def test_sl2_over_fields_with_several_digits() -> None:

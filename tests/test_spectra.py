@@ -86,12 +86,6 @@ def test_contains_matches_divisor_closure() -> None:
             assert spectra.contains(spec, a) == (a in closure), (key, a)
 
 
-def test_divisor_closure_function() -> None:
-    spec = spectra.spectrum(spectra.group_id(SP, 2, 3))
-    assert set(spectra.divisor_closure(spec)) == _closure((5, 9, 12))
-    assert spectra.divisor_closure(spec) == sorted(spectra.divisor_closure(spec))
-
-
 def test_is_sub_spectrum_witnesses() -> None:
     o7 = spectra.spectrum(spectra.group_id(BN, 3, 3))
     s6 = spectra.spectrum(spectra.group_id(SP, 3, 3))

@@ -31,6 +31,7 @@ def test_known_small_sets() -> None:
     assert zsigmondy.primitive_prime_divisors(2, 11) == (23, 89)
     assert zsigmondy.primitive_prime_divisors(3, 4) == (5,)
     assert zsigmondy.primitive_prime_divisors(3, 5) == (11,)
+    assert zsigmondy.primitive_prime_divisors(3, 6) == (7,)
     assert zsigmondy.primitive_prime_divisors(4, 3) == (7,)
     assert zsigmondy.primitive_prime_divisors(5, 4) == (13,)
 
@@ -58,12 +59,6 @@ def test_existence_agrees_with_enumeration() -> None:
             assert zsigmondy.has_primitive_prime_divisor(q, n) == bool(
                 zsigmondy.primitive_prime_divisors(q, n)
             )
-
-
-def test_zsigmondy_prime() -> None:
-    assert zsigmondy.zsigmondy_prime(2, 6) is None
-    assert zsigmondy.zsigmondy_prime(2, 11) == 23
-    assert zsigmondy.zsigmondy_prime(3, 6) == 7
 
 
 def test_primitive_part_strips_exactly_the_order_failures() -> None:
