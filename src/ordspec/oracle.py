@@ -29,6 +29,7 @@ import math
 import operator
 import os
 import random
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import repeat
 
@@ -106,7 +107,7 @@ class Field:
         )
         # find a primitive element and fill exp/log along the way
         for cand in range(1, q):
-            cand_poly = self._decode(cand)
+            cand_poly = _digits(cand, p, m)
             exp = [1]
             cur = (1,)
             for _ in range(q - 2):
@@ -124,12 +125,6 @@ class Field:
         self.log = [0] * q
         for i, code in enumerate(exp):
             self.log[code] = i
-
-    def _decode(self, code: int) -> tuple:
-        coeffs = list(_digits(code, self.p, self.m))
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
 
     def _encode(self, coeffs: tuple) -> int:
         code = 0
@@ -149,14 +144,8 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.m):
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        # for odd q, -1 is the one element of multiplicative order 2
+        return a if self.p == 2 else self.mul(a, self.exp[(self.q - 1) // 2])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -216,14 +205,16 @@ def _engine(fld: Field, dim: int) -> _Engine:
 # matrices
 
 
+@dataclass(frozen=True, slots=True)
 class MatrixGF:
     """An immutable square matrix over a Field, with at least one row.  Its
     product runs on the packed engine for its field and dimension."""
 
-    __slots__ = ("field", "rows")
+    field: Field
+    rows: tuple
 
-    def __init__(self, fld: Field, rows):
-        rows = tuple(tuple(r) for r in rows)
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(r) for r in self.rows)
         dim = len(rows)
         if not dim:
             raise DomainError("matrix must have at least one row")
@@ -231,13 +222,9 @@ class MatrixGF:
             if len(r) != dim:
                 raise DomainError("matrix must be square")
             for e in r:
-                if not 0 <= e < fld.q:
-                    raise DomainError(f"entry {e} out of range for {fld}")
-        object.__setattr__(self, "field", fld)
+                if not 0 <= e < self.field.q:
+                    raise DomainError(f"entry {e} out of range for {self.field}")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixGF is immutable")
 
     @property
     def dim(self) -> int:
@@ -269,26 +256,13 @@ class MatrixGF:
     def inverse(self) -> MatrixGF:
         f, d = self.field, self.dim
         # reducing [A | I] leaves [I | A^-1] exactly when A is invertible
-        pivots = _reduced_echelon(f, (
+        pivots, _ = _reduced_echelon(f, (
             list(row) + [1 if i == j else 0 for j in range(d)]
             for i, row in enumerate(self.rows)
         ))
         if any(col not in pivots for col in range(d)):
             raise DomainError("matrix is singular")
         return MatrixGF(f, tuple(tuple(pivots[i][d:]) for i in range(d)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixGF)
-            and self.field is other.field
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.rows))
-
-    def __repr__(self) -> str:
-        return f"MatrixGF({self.field}, {self.rows})"
 
 
 def _sub_multiple(f: Field, row, c: int, other) -> list:
@@ -297,10 +271,12 @@ def _sub_multiple(f: Field, row, c: int, other) -> list:
     return [f.add(x, f.mul(neg_c, y)) for x, y in zip(row, other)]
 
 
-def _reduced_echelon(f: Field, rows) -> dict[int, list]:
+def _reduced_echelon(f: Field, rows) -> tuple[dict[int, list], int]:
     """Reduced row echelon form of the rows, taken one at a time, as a map
-    pivot column -> row with 1 there and 0 at every other pivot column."""
+    pivot column -> row with 1 there and 0 at every other pivot column, in
+    the order the rows were taken, and the product of the leads divided out."""
     pivots: dict[int, list] = {}
+    leads = 1
     for row in rows:
         for col, prow in pivots.items():
             if row[col]:
@@ -308,13 +284,14 @@ def _reduced_echelon(f: Field, rows) -> dict[int, list]:
         lead = next((c for c, x in enumerate(row) if x), None)
         if lead is None:
             continue
+        leads = f.mul(leads, row[lead])
         inv = f.inv(row[lead])
         row = [f.mul(inv, x) for x in row]
         for col, prow in pivots.items():
             if prow[lead]:
                 pivots[col] = _sub_multiple(f, prow, prow[lead], row)
         pivots[lead] = row
-    return pivots
+    return pivots, leads
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +427,16 @@ class _Engine:
         return out
 
 
+@dataclass(eq=False)
 class ClosedGroup:
     """The multiplicative closure of a generator list: the set of its
     elements' packed integer keys, and the engine that packs them."""
 
-    def __init__(self, fld: Field, dim: int, engine, key_set, generators):
-        self.field = fld
-        self.dim = dim
-        self.engine = engine
-        self.key_set = key_set
-        self.generators = list(generators)
+    field: Field
+    dim: int
+    engine: _Engine
+    key_set: set
+    generators: list
 
     def __len__(self) -> int:
         return len(self.key_set)
@@ -471,7 +448,7 @@ def _matrix_ring(generators) -> tuple[list, Field, int]:
         raise DomainError("no generators")
     fld, dim = gens[0].field, gens[0].dim
     if any(g.field is not fld or g.dim != dim for g in gens):
-        raise DomainError("generators live in different matrix rings")
+        raise DomainError("matrices live in different matrix rings")
     return gens, fld, dim
 
 
@@ -523,7 +500,7 @@ def _commutant_basis(generators) -> list[list[int]]:
                         row[k * d + j] = f.add(row[k * d + j], f.neg(a[i][k]))
                     yield row
 
-    pivots = _reduced_echelon(f, equations())
+    pivots, _ = _reduced_echelon(f, equations())
     basis = []
     for free in range(n):
         if free not in pivots:
@@ -564,30 +541,27 @@ def centre_of(group: ClosedGroup) -> list[MatrixGF]:
 
 
 def _validated_centre_keys(eng, generators, centre) -> set:
-    """Key set for a centre argument, after checking it is made of elements
-    central for the generators, is closed under product, and contains the
-    identity."""
+    """Key set for a centre argument, after checking on engine keys that it
+    lies in the generators' matrix ring, contains the identity, is central
+    for the generators, and is closed under product."""
     if centre is None:
         return {eng.identity}
     mats = list(centre)
     if not mats:
         raise DomainError("centre argument is empty")
-    fld, dim = mats[0].field, mats[0].dim
-    ident = MatrixGF.identity(fld, dim)
-    if ident not in mats:
+    _matrix_ring([*generators, *mats])
+    keys = {eng.encode(z.rows) for z in mats}
+    if eng.identity not in keys:
         raise DomainError("centre must contain the identity")
-    for z in mats:
-        for g in generators:
-            if z * g != g * z:
-                raise DomainError(
-                    "centre argument contains a non-central element"
-                )
-    keyset = {eng.encode(z.rows) for z in mats}
-    for a in mats:
-        for b in mats:
-            if eng.encode((a * b).rows) not in keyset:
-                raise DomainError("centre argument is not closed under product")
-    return keyset
+    tabs = {z: eng.tables(z) for z in keys}
+    for g in generators:
+        key = eng.encode(g.rows)
+        g_tabs = eng.tables(key)
+        if any(eng.mul(z, g_tabs) != eng.mul(key, t) for z, t in tabs.items()):
+            raise DomainError("centre argument contains a non-central element")
+    if any(eng.mul(a, t) not in keys for a in keys for t in tabs.values()):
+        raise DomainError("centre argument is not closed under product")
+    return keys
 
 
 def _central_power_walk(eng, key: int, centre_keys, bound: int) -> list[int]:
@@ -647,7 +621,7 @@ def _form(family: str, fld: Field, dim: int) -> MatrixGF:
     """Gram matrix F of the form the family's group preserves: for Sp the
     alternating form (antidiagonal, +1 above the middle, -1 below), for SU
     the hermitian antidiagonal of ones, for GOplus the polar form of the
-    quadratic form Q(x) = x1 x2 + x3 x4."""
+    quadratic form Q(x) = x1 x2 + x3 x4 + ... ."""
     rows = [[0] * dim for _ in range(dim)]
     for i in range(dim):
         if family == "GOplus":
@@ -675,41 +649,38 @@ def _transvection(fld: Field, dim: int, v, lam: int) -> MatrixGF:
     return MatrixGF(fld, rows)
 
 
-def preserves_form(family: str, mat: MatrixGF) -> bool:
-    """Whether x -> x g, for g = mat, preserves the family's form:
-    g F sigma(g)^T = F for the Gram matrix F of _form, with sigma the
-    entrywise conjugation for SU and the identity otherwise.  For GOplus
-    it must also preserve Q.  Q(x g) = sum x_i^2 Q(e_i g) plus the polar
-    form's terms, so once the polar form is preserved, Q is preserved
-    exactly when Q(e_i g) = Q(e_i) = 0, with e_i g the i-th row of g."""
-    fld = mat.field
-    f = _form(family, fld, mat.dim)
+def in_group(family: str, mat: MatrixGF) -> bool:
+    """Whether g = mat lies in the family's group: g F sigma(g)^T = F for
+    the Gram matrix F of _form, with sigma the entrywise conjugation for SU
+    and the identity otherwise; det g = 1 for SU; and for GOplus, with F
+    the polar form of Q(x) = sum x_2i x_2i+1, Q(e_i g) = 0 for every row
+    e_i g of g, since then Q(x g) = Q(x).  DomainError in odd dimension
+    for Sp and GOplus, whose forms need an even one."""
+    fld, dim = mat.field, mat.dim
+    if family != "SU" and dim % 2:
+        raise DomainError(f"the {family} form needs an even dimension, got {dim}")
+    f = _form(family, fld, dim)
     twin = mat.conj_entries() if family == "SU" else mat
     if mat * f * twin.transpose() != f:
         return False
-    return family != "GOplus" or all(
-        fld.add(fld.mul(a, b), fld.mul(c, d)) == 0 for a, b, c, d in mat.rows
-    )
+    if family == "GOplus":
+        return not any(
+            reduce(fld.add, map(fld.mul, row[::2], row[1::2])) for row in mat.rows
+        )
+    return family != "SU" or _det(mat) == 1
 
 
 def _det(mat: MatrixGF) -> int:
-    f, d = mat.field, mat.dim
-    rows = [list(r) for r in mat.rows]
-    det = 1
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = f.neg(det)
-        det = f.mul(det, rows[col][col])
-        inv_p = f.inv(rows[col][col])
-        for r in range(col + 1, d):
-            if rows[r][col]:
-                c = f.mul(inv_p, rows[r][col])
-                rows[r] = _sub_multiple(f, rows[r], c, rows[col])
-    return det
+    """At full rank the reduction ends at the permutation matrix taking row
+    i to its lead's column, having added multiples of rows and divided by
+    the leads: det is that permutation's sign times their product."""
+    f = mat.field
+    pivots, leads = _reduced_echelon(f, mat.rows)
+    if len(pivots) < mat.dim:
+        return 0
+    cols = list(pivots)
+    odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :]) % 2
+    return f.neg(leads) if odd else leads
 
 
 def _gf_basis(fld: Field) -> list[int]:
@@ -740,16 +711,13 @@ def _su4_generators(fld: Field) -> list[MatrixGF]:
     sq = fld.conj(s)
     neg_sq = fld.neg(sq)
 
-    def mat(entries):
-        return MatrixGF(fld, entries)
-
     e = [[one if i == j else 0 for j in range(4)] for i in range(4)]
 
     def with_entry(extra):
         rows = [list(r) for r in e]
         for (i, j), val in extra.items():
             rows[i][j] = val
-        return mat(rows)
+        return MatrixGF(fld, rows)
 
     x_t = with_entry({(0, 3): one})
     x_s = with_entry({(0, 3): _subfield_code(fld)})
@@ -757,7 +725,7 @@ def _su4_generators(fld: Field) -> list[MatrixGF]:
     z_s = with_entry({(0, 2): s, (1, 3): neg_sq})
     j = _form("SU", fld, 4)
     a = fld.gen
-    d_a = mat([
+    d_a = MatrixGF(fld, [
         [a, 0, 0, 0],
         [0, fld.inv(a), 0, 0],
         [0, 0, fld.conj(a), 0],
@@ -845,7 +813,7 @@ def standard_generators(family: str, dim: int, q: int) -> list[MatrixGF]:
     else:
         gens = [MatrixGF(fld, rows) for rows in _GOPLUS_4_2_ROWS]
     for g in gens:
-        if not preserves_form(family, g) or (family == "SU" and _det(g) != 1):
+        if not in_group(family, g):
             raise AssertionError(f"internal: generator outside {family}{dim}")
     return gens
 
@@ -917,7 +885,7 @@ def twisted_order_with_t(q: int, t: int) -> int:
     if fld.conj(t) == t:
         raise DomainError(f"t code {t} lies in the subfield GF({q})")
     b = _twisted_b(fld, t)
-    if not preserves_form("SU", b) or _det(b) != 1:
+    if not in_group("SU", b):
         raise AssertionError("internal: B(t) outside SU4")
     square = b * b.conj_entries()
     eng = _engine(fld, 4)

@@ -109,8 +109,10 @@ def group_name(family: str, n: int, q: int) -> str:
     return _NAME_TEMPLATES[family].format_map({"2n": 2 * n, "2n+1": 2 * n + 1, "q": q})
 
 
+@lru_cache(maxsize=None)
 def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^m with p prime, else DomainError."""
+    """q = p^m with p prime, else DomainError.  Memoised: the result is an
+    immutable pair, and an error is raised again on every call."""
     if q < 2:
         raise DomainError(f"field size must be at least 2, got {q}")
     fact = arith.factorize(q)

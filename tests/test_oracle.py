@@ -7,8 +7,9 @@ over all 4x4 GF(2) matrices (GO4+(2)), the exceptional isomorphism
 PSU4(2) = PSp4(3) as a cross-check between two unrelated generator sets,
 and per-element brute force for the centre (every element tested against
 every generator) and for element orders (every element powered until it
-lands in the centre), and an entry-by-entry matrix product, kept here,
-for the packed engine behind every product in the oracle.
+lands in the centre), an entry-by-entry matrix product, kept here, for
+the packed engine behind every product in the oracle, and the Leibniz
+expansion for the determinant that the row reduction reads off.
 """
 
 from __future__ import annotations
@@ -47,6 +48,24 @@ def _product(a: oracle.MatrixGF, b: oracle.MatrixGF) -> oracle.MatrixGF:
     return oracle.MatrixGF(
         f, [tuple(_dot(f, arow, bcol) for bcol in cols_b) for arow in a.rows]
     )
+
+
+def _leibniz_det(mat: oracle.MatrixGF) -> int:
+    """det as the sum over permutations of signed products of entries, the
+    sign read off the cycle count: the reference for oracle._det."""
+    f, d = mat.field, mat.dim
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        term, seen, cycles = 1, set(), 0
+        for i in range(d):
+            term = f.mul(term, mat.rows[i][perm[i]])
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = perm[i]
+        total = f.add(total, f.neg(term) if (d - cycles) % 2 else term)
+    return total
 
 
 def test_field_axioms_sampled() -> None:
@@ -152,6 +171,44 @@ def test_matrix_inverse_and_order() -> None:
         zero.inverse()
 
 
+def test_det_matches_leibniz_and_su_needs_det_one() -> None:
+    """Random matrices, and every third one made singular by overwriting
+    its last row with a combination a r_0 + b r_(dim-2) of the others (with
+    zero at dimension 1)."""
+    rng = random.Random(53)
+    for q in (2, 3, 4, 9, 25, 27):
+        fld = oracle.field_of_order(q)
+        for dim in range(1, 6):
+            dets = []
+            for trial in range(24):
+                rows = [[rng.randrange(q) for _ in range(dim)] for _ in range(dim)]
+                if trial % 3 == 0:
+                    a, b = rng.randrange(q), rng.randrange(q)
+                    rows[-1] = [0] if dim == 1 else [
+                        fld.add(fld.mul(a, x), fld.mul(b, y))
+                        for x, y in zip(rows[0], rows[-2])
+                    ]
+                mat = oracle.MatrixGF(fld, rows)
+                dets.append(oracle._det(mat))
+                assert dets[-1] == _leibniz_det(mat), (q, rows)
+            assert 0 in dets and any(dets), (q, dim)
+    # negative control: diag(a, 1, 1, conj(a)^-1) preserves the hermitian
+    # form of SU4(2) and has det a / conj(a) = a^-1 for a primitive in
+    # GF(4), so it lies in GU4(2) but not in SU4(2)
+    fld = oracle.field_of_order(4)
+    a = fld.gen
+    g = oracle.MatrixGF(fld, (
+        (a, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, fld.inv(fld.conj(a))),
+    ))
+    form = oracle._form("SU", fld, 4)
+    assert _product(_product(g, form), g.conj_entries().transpose()) == form
+    assert oracle._det(g) == _leibniz_det(g) == fld.inv(a) != 1
+    assert not oracle.in_group("SU", g)
+
+
 def test_matrix_immutable_and_validated() -> None:
     fld = oracle.field_of_order(3)
     mat = oracle.MatrixGF.identity(fld, 2)
@@ -176,7 +233,7 @@ def test_transvections_preserve_symplectic_form() -> None:
         if family != "Sp":
             continue
         for g in oracle.standard_generators(family, dim, q):
-            assert oracle.preserves_form("Sp", g), (dim, q)
+            assert oracle.in_group("Sp", g), (dim, q)
     # negative controls: diag(a, 1, ..., 1) scales one entry of the
     # antidiagonal form by a (times conj(a) for SU), and the transvection
     # along e1 preserves the polar form of x1 x2 + x3 x4 but maps e2 to
@@ -185,11 +242,25 @@ def test_transvections_preserve_symplectic_form() -> None:
         fld = oracle.field_of_order(q * q if family == "SU" else q)
         rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
         rows[0][0] = fld.gen
-        assert not oracle.preserves_form(family, oracle.MatrixGF(fld, rows))
+        assert not oracle.in_group(family, oracle.MatrixGF(fld, rows))
     shear = ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert not oracle.preserves_form(
+    assert not oracle.in_group(
         "GOplus", oracle.MatrixGF(oracle.field_of_order(2), shear)
     )
+
+
+def test_in_group_reads_q_in_every_even_dimension() -> None:
+    """Q(x) = x1 x2 + x3 x4 + ... in any even dimension: the identity lies
+    in GO+, and the shear e2 -> e1 + e2 keeps the polar form but not Q.
+    An odd dimension has no such form."""
+    fld = oracle.field_of_order(2)
+    for dim in (2, 4, 6):
+        rows = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        assert oracle.in_group("GOplus", oracle.MatrixGF(fld, rows)), dim
+        rows[1][0] = 1
+        assert not oracle.in_group("GOplus", oracle.MatrixGF(fld, rows)), dim
+    with pytest.raises(DomainError):
+        oracle.in_group("GOplus", oracle.MatrixGF.identity(fld, 3))
 
 
 def test_sp4_2_is_s6() -> None:
@@ -240,7 +311,7 @@ def test_go4plus_2_closure_equals_exhaustive_filter() -> None:
             == quadratic(x)
             for x in vectors
         )
-        assert oracle.preserves_form("GOplus", mat) == preserved, rows
+        assert oracle.in_group("GOplus", mat) == preserved, rows
         if preserved:
             keep.append(mat)
     group = oracle.close_group(oracle.standard_generators("GOplus", 4, 2))
@@ -318,6 +389,28 @@ def test_sample_orders_centre_validation() -> None:
         oracle.sample_orders(gens, 0, seed=0)
     with pytest.raises(DomainError):
         oracle.sample_orders([], 5, seed=0)
+
+
+def test_centre_check_multiplies_engine_keys(monkeypatch) -> None:
+    """The centre argument is checked on engine keys: no MatrixGF product,
+    each of which would build a table set, runs in sampling or element
+    orders, and a centre from another matrix ring is refused."""
+    gens = oracle.standard_generators("Sp", 4, 3)
+    centre = oracle.central_scalars("Sp", 4, 3)
+    sl2_9 = _sl2(9)
+    sl2_9_centre = oracle.centre_of(sl2_9)
+    other = oracle.central_scalars("Sp", 4, 2)
+
+    def no_product(a, b):
+        raise AssertionError("MatrixGF product in a centre check")
+
+    monkeypatch.setattr(oracle.MatrixGF, "__mul__", no_product)
+    assert oracle.sample_orders(gens, 20, seed=3, centre=centre)
+    assert oracle.element_orders(sl2_9, sl2_9_centre).gens == (3, 4, 5)
+    with pytest.raises(DomainError, match="different matrix rings"):
+        oracle.sample_orders(gens, 5, seed=0, centre=other)
+    with pytest.raises(DomainError, match="different matrix rings"):
+        oracle.element_orders(sl2_9, oracle.central_scalars("Sp", 4, 3))
 
 
 def test_central_scalars() -> None:

@@ -325,6 +325,26 @@ def test_split_prime_power() -> None:
         spectra.split_prime_power(1)
 
 
+def test_split_prime_power_factors_each_q_once(monkeypatch) -> None:
+    """group_id splits q on every call, so a repeated q must not be
+    factored again; a q that is not a prime power is refused every time."""
+    spectra.group_id(SP, 2, 81)
+    calls = []
+    factorize = arith.factorize
+
+    def counting_factorize(a):
+        calls.append(a)
+        return factorize(a)
+
+    monkeypatch.setattr(arith, "factorize", counting_factorize)
+    assert spectra.group_id(SP, 2, 81) == spectra.group_id(SP, 2, 81)
+    assert calls == []
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            spectra.split_prime_power(96)
+    assert calls == [96, 96]
+
+
 def test_b_subset_c_inclusion_odd_q() -> None:
     # omega(O_2n+1(q)) is always inside omega(S_2n(q)) for odd q.
     for n in (3, 4, 5):
