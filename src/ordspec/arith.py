@@ -8,11 +8,20 @@ Miller-Rabin, with no known pseudoprime, and is proven deterministic well
 past every value this package feeds it.  Cyclotomic values are computed in
 integers, and one memoised table holds their factorizations; Phi_n(p^k) is
 merged from the smaller Phi_m(p), which every power of p shares.
+
+Those Phi_m(p) >= 2^20 are read from phi_table.txt beside this module, made
+by tools/make_phi_table.py: every one reached from Phi_d(p^k) with
+p^k <= 4096, p <= 13 and d dividing 2i for some i <= spectra.MAX_RANK.  So
+sympy factors only values outside that table.  A row is checked on its first
+use by its product and the primality of its primes, which by unique
+factorization makes it the factorization; a row that fails, or does not
+parse, raises DomainError instead of falling back to sympy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -87,6 +96,9 @@ def factorize(a: int) -> Factorization:
     return Factorization(a, _factor(a))
 
 
+# Bounded like cyclotomic_value; Factorization re-checks the same few hundred
+# primes many times over.
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     if n >= _TRIAL_LIMIT:
         from sympy import isprime
@@ -153,6 +165,42 @@ def cyclotomic_value(n: int, q: int) -> int:
     return value
 
 
+_PHI_TABLE = os.path.join(os.path.dirname(__file__), "phi_table.txt")
+
+
+@lru_cache(maxsize=1)
+def _phi_table() -> dict[tuple[int, int], str]:
+    """(p, m) -> the factor tokens of Phi_m(p) in phi_table.txt, unchecked."""
+    rows = {}
+    with open(_PHI_TABLE, encoding="ascii") as fh:
+        for line in fh:
+            try:
+                p, m, tokens = line.split(maxsplit=2)
+                rows[int(p), int(m)] = tokens
+            except ValueError:
+                raise DomainError(
+                    f"phi_table.txt: cannot read the row {line!r}"
+                ) from None
+    return rows
+
+
+def _table_factorization(p: int, m: int, value: int) -> Factorization | None:
+    """Phi_m(p) = value from its table row, checked; None without a row."""
+    tokens = _phi_table().get((p, m))
+    if tokens is None:
+        return None
+    try:
+        factors = {}
+        for token in tokens.split():
+            r, caret, e = token.partition("^")
+            factors[int(r)] = int(e) if caret else 1
+        return Factorization(value, factors)
+    except (ValueError, DomainError) as exc:
+        raise DomainError(
+            f"phi_table.txt row (p, m) = ({p}, {m}) fails its check: {exc}"
+        ) from None
+
+
 # Bounded like cyclotomic_value; a tuple, so no caller can change a cached
 # entry (a Factorization holds a mutable dict).
 @lru_cache(maxsize=4096)
@@ -161,11 +209,14 @@ def cyclotomic_factors(n: int, q: int) -> tuple[tuple[int, int], ...]:
 
     For q = p^k with k > 1, Phi_n(x^k) is the product of the Phi_m(x) over
     the m dividing n*k with m / gcd(m, k) = n, so Phi_n(q) is merged from
-    those Phi_m(p) instead of being factored whole."""
+    those Phi_m(p) instead of being factored whole.  A prime q reads
+    Phi_n(q) from phi_table.txt when it has a row there."""
     base = _factor(q)
     # q prime, or not a prime power; cyclotomic_value also rejects n < 1
     if len(base) != 1 or q in base or n < 1:
-        return tuple(sorted(factorize(cyclotomic_value(n, q)).factors.items()))
+        value = cyclotomic_value(n, q)
+        fact = _table_factorization(q, n, value) if q in base else None
+        return tuple(sorted((fact or factorize(value)).factors.items()))
     ((p, k),) = base.items()
     merged: Counter = Counter()
     for m in divisors(n * k):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import pathlib
 import random
 
 import pytest
@@ -9,7 +11,7 @@ import sympy
 from sympy.ntheory.residue_ntheory import n_order
 from sympy.polys.specialpolys import cyclotomic_poly
 
-from ordspec import arith
+from ordspec import arith, primegraph, spectra
 from ordspec.errors import DomainError
 
 
@@ -190,3 +192,112 @@ def test_prime_power_cyclotomic_factors_merge_prime_base_pieces() -> None:
             assert arith.cyclotomic_factors(n, q) == tuple(
                 sorted(whole.factors.items())
             ), (n, q)
+
+
+def test_phi_table_rows_are_the_factorizations() -> None:
+    """Every row of phi_table.txt passes its check on use and multiplies
+    out to Phi_m(p), each listed factor prime by sympy too."""
+    rows = arith._phi_table()
+    assert len(rows) == 191
+    for p, m in rows:
+        value = arith.cyclotomic_value(m, p)
+        assert value >= 2**20, (p, m)
+        fact = arith._table_factorization(p, m, value)
+        assert math.prod(r**e for r, e in fact.factors.items()) == value
+        assert all(sympy.isprime(r) for r in fact.factors), (p, m)
+        assert arith.cyclotomic_factors(m, p) == tuple(sorted(fact.factors.items()))
+
+
+@pytest.fixture
+def phi_table_text(tmp_path, monkeypatch):
+    """Installs a temporary phi_table.txt, with the row of Phi_288(2)
+    replaced by the given line; the caches that saw it are cleared after."""
+    real = pathlib.Path(arith._PHI_TABLE).read_text(encoding="ascii")
+    row = "2 288 1153 6337 38941695937 278452876033"
+    assert row in real
+
+    def install(line: str) -> None:
+        path = tmp_path / "phi_table.txt"
+        path.write_text(real.replace(row, line), encoding="ascii")
+        monkeypatch.setattr(arith, "_PHI_TABLE", str(path))
+        arith._phi_table.cache_clear()
+        arith.cyclotomic_factors.cache_clear()
+
+    yield install
+    arith._phi_table.cache_clear()
+    arith.cyclotomic_factors.cache_clear()
+
+
+@pytest.mark.parametrize("line", [
+    "2 288 1163 6337 38941695937 278452876033",  # one prime altered
+    "2 288 1153^2 6337 38941695937 278452876033",  # one exponent altered
+    "2 288 1153 6337 10843427231260240777921",  # two primes merged
+    "2 288 1153 6337 38941695937 27845287603x",  # malformed
+    "2 288 1153 6337^ 38941695937 278452876033",  # malformed
+])
+def test_phi_table_refuses_a_wrong_row(phi_table_text, line) -> None:
+    phi_table_text(line)
+    assert arith.cyclotomic_factors(25, 2) == ((601, 1), (1801, 1))
+    with pytest.raises(DomainError, match=r"\(p, m\) = \(2, 288\)"):
+        arith.cyclotomic_factors(288, 2)
+    # Phi_24(4096) is merged from Phi_288(2), so it is refused too
+    with pytest.raises(DomainError, match=r"\(p, m\) = \(2, 288\)"):
+        arith.cyclotomic_factors(24, 4096)
+
+
+def test_phi_table_refuses_an_unreadable_line(phi_table_text) -> None:
+    phi_table_text("2 288")
+    with pytest.raises(DomainError, match="cannot read the row '2 288"):
+        arith.cyclotomic_factors(25, 2)
+
+
+def test_closed_forms_factor_nothing_with_sympy_inside_the_table(monkeypatch) -> None:
+    """Orders and prime graphs up to rank 12 over GF(4096), GF(243) and
+    GF(49) read every Phi_m(p) >= 2^20 from the table."""
+
+    def no_factorint(*args, **kwargs):
+        raise AssertionError("sympy.factorint called")
+
+    arith.cyclotomic_factors.cache_clear()
+    monkeypatch.setattr(sympy, "factorint", no_factorint)
+    for family, q, part in (
+        ("Sp", 4096, spectra.FULL),
+        ("Bn", 243, spectra.FULL),
+        ("Dminus", 49, spectra.PPRIME),
+    ):
+        group = spectra.group_id(family, 12, q)
+        order = primegraph.group_order(group)
+        graph = primegraph.build_graph(group, part)
+        assert set(graph.vertices) <= set(order.primes), (family, q)
+
+
+def test_values_outside_the_phi_table_go_to_sympy(monkeypatch) -> None:
+    """Phi_24(17) = 17^8 - 17^4 + 1 is above 2^20 but 17 is no table prime."""
+    assert (17, 24) not in arith._phi_table()
+    calls = []
+    factorint = sympy.factorint
+
+    def counting_factorint(a, *args, **kwargs):
+        calls.append(a)
+        return factorint(a, *args, **kwargs)
+
+    arith.cyclotomic_factors.cache_clear()
+    monkeypatch.setattr(sympy, "factorint", counting_factorint)
+    value = 17**8 - 17**4 + 1
+    assert arith.cyclotomic_factors(24, 17) == tuple(sorted(factorint(value).items()))
+    assert calls == [value]
+
+
+def test_is_prime_asks_sympy_once_per_value(monkeypatch) -> None:
+    calls = []
+    isprime = sympy.isprime
+
+    def counting_isprime(n):
+        calls.append(n)
+        return isprime(n)
+
+    arith.is_prime.cache_clear()
+    monkeypatch.setattr(sympy, "isprime", counting_isprime)
+    assert arith.is_prime(2**61 - 1) and arith.is_prime(2**61 - 1)
+    assert not arith.is_prime(2**61 + 1) and not arith.is_prime(2**61 + 1)
+    assert calls == [2**61 - 1, 2**61 + 1]

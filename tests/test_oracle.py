@@ -413,6 +413,22 @@ def test_centre_check_multiplies_engine_keys(monkeypatch) -> None:
         oracle.element_orders(sl2_9, oracle.central_scalars("Sp", 4, 3))
 
 
+def test_element_orders_refuses_a_centre_outside_the_group() -> None:
+    """The scalars {I, wI, w^2 I} over GF(4) contain I, are closed and are
+    central for SL2(4), but det(wI) = w^2 != 1, so they are not in it."""
+    fld = oracle.field_of_order(4)
+    w = fld.exp[1]
+    sl2_4 = oracle.close_group([
+        oracle.MatrixGF(fld, ((1, 1), (0, 1))),
+        oracle.MatrixGF(fld, ((1, w), (0, 1))),
+        oracle.MatrixGF(fld, ((1, 0), (1, 1))),
+    ])
+    assert len(sl2_4) == 60
+    scalars = [oracle.MatrixGF(fld, ((a, 0), (0, a))) for a in (1, w, fld.mul(w, w))]
+    with pytest.raises(DomainError, match="centre argument is not inside the group"):
+        oracle.element_orders(sl2_4, scalars)
+
+
 def test_central_scalars() -> None:
     sp = oracle.central_scalars("Sp", 4, 3)
     ident = oracle.MatrixGF.identity(sp[0].field, 4)
