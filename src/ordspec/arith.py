@@ -1,13 +1,16 @@
 """Exact integer arithmetic: factorizations, prime parts, multiplicative orders.
 
 Below 2^20, factoring, primality and divisors are exact trial division.
-Above it they call sympy's factorint and isprime, imported inside the call,
-so starting the package never loads sympy.  Nothing here is probabilistic in
-a way that can return a wrong answer silently: isprime is strong BPSW +
-Miller-Rabin, with no known pseudoprime, and is proven deterministic well
-past every value this package feeds it.  Cyclotomic values are computed in
-integers, and one memoised table holds their factorizations; Phi_n(p^k) is
-merged from the smaller Phi_m(p), which every power of p shares.
+Above it, primality is decided here without sympy: Miller-Rabin to the 13
+prime bases 2..41 below 3317044064679887385961981, where it is exact
+(Sorenson and Webster, Math. Comp. 86, 2017), and strong BPSW above it
+(Miller-Rabin to base 2, then the strong Lucas test with Selfridge's
+parameters; Baillie and Wagstaff, Math. Comp. 35, 1980), which has no known
+pseudoprime and is sympy.isprime's rule there.  Factoring above 2^20 calls
+sympy's factorint, imported inside the call, so starting the package never
+loads sympy.  Cyclotomic values are computed in integers, and one memoised
+table holds their factorizations; Phi_n(p^k) is merged from the smaller
+Phi_m(p), which every power of p shares.
 
 Those Phi_m(p) >= 2^20 are read from phi_table.txt beside this module, made
 by tools/make_phi_table.py: every one reached from Phi_d(p^k) with
@@ -29,7 +32,7 @@ from functools import lru_cache
 from .errors import DomainError
 
 # Below this, trial division needs divisors up to 2^10 only; larger values
-# go to sympy.
+# go to sympy's factorint, or for primality to Miller-Rabin and BPSW.
 _TRIAL_LIMIT = 1 << 20
 
 
@@ -96,15 +99,88 @@ def factorize(a: int) -> Factorization:
     return Factorization(a, _factor(a))
 
 
+# The 13 primes 2..41: Miller-Rabin to all of them as bases is exact below
+# _MR_BOUND, the least strong pseudoprime to every one (Sorenson and Webster,
+# Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a for odd n > a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters for odd n > 41 with
+    no prime factor up to 41: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4, and n + 1 = d 2^s; n passes when
+    U_d = 0 or V_(d 2^r) = 0 mod n for some r < s."""
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k, Q^k mod n from k = 1 along the bits of d: 2k, then k + 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            # U_(k+1) = (U + V)/2 and V_(k+1) = (D U + V)/2, halved mod odd n
+            U, V, Qk = U + V, D * U + V, Qk * Q % n
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 # Bounded like cyclotomic_value; Factorization re-checks the same few hundred
 # primes many times over.
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    if n >= _TRIAL_LIMIT:
-        from sympy import isprime
-
-        return bool(isprime(n))
-    return _factor(n) == {n: 1}
+    """Exact below 2^20 by trial division and below _MR_BOUND by
+    Miller-Rabin to the bases _MR_BASES; above that strong BPSW
+    (Miller-Rabin to base 2, then the strong Lucas test), which has no
+    known pseudoprime and is sympy.isprime's rule there."""
+    if n < _TRIAL_LIMIT:
+        return _factor(n) == {n: 1}
+    if any(n % a == 0 for a in _MR_BASES):
+        return False
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def divisors(a: int) -> list[int]:

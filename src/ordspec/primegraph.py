@@ -120,26 +120,35 @@ def build_graph(group: GroupId, part: str = FULL) -> PrimeGraph:
     return graph_from_spectrum(spec, verts)
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def find_cocliques(graph: PrimeGraph, size: int) -> list[tuple[int, ...]]:
     """All cocliques of exactly the given size, lexicographically sorted."""
     if size < 1:
         raise DomainError(f"coclique size must be positive, got {size}")
     verts = graph.vertices
-    # later[v]: the vertices after v that are not adjacent to it
-    later = {
-        v: frozenset(w for w in verts[i + 1 :] if (v, w) not in graph.edge_set)
-        for i, v in enumerate(verts)
-    }
-    # after k steps: every k-coclique, in lexicographic order, with the
-    # vertices that extend it (after its last vertex, adjacent to none of it)
-    level = [((), frozenset(verts))]
+    index = {v: i for i, v in enumerate(verts)}
+    # later[i]: bit j set for the vertices j > i not adjacent to vertex i
+    later = [(1 << len(verts)) - (2 << i) for i in range(len(verts))]
+    for r, s in graph.edges:
+        later[index[r]] &= ~(1 << index[s])
+    # after k steps: every k-coclique, in lexicographic order, with the mask
+    # of the vertices that extend it (after its last vertex, adjacent to none
+    # of it)
+    level = [((), (1 << len(verts)) - 1)]
     for _ in range(size - 1):
         level = [
-            (combo + (w,), cand & later[w])
+            (combo + (verts[i],), cand & later[i])
             for combo, cand in level
-            for w in sorted(cand)
+            for i in _bits(cand)
         ]
-    return [combo + (w,) for combo, cand in level for w in sorted(cand)]
+    return [combo + (verts[i],) for combo, cand in level for i in _bits(cand)]
 
 
 def export_graph(graph: PrimeGraph) -> str:

@@ -20,10 +20,8 @@ Everything else raises UnsupportedError.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,27 +172,32 @@ def part_prime(part: str) -> int | None:
     return p
 
 
+def _maximal(values) -> list[int]:
+    """The values that divide no other value, descending.
+
+    Values are taken largest first and tested against the kept ones only:
+    a larger value that was dropped divides a kept one, so it never
+    decides alone."""
+    kept: list[int] = []
+    for v in sorted(values, reverse=True):  # a repeat divides its first copy
+        if not any(w % v == 0 for w in kept):
+            kept.append(v)
+    return kept
+
+
 def reduce_gens(
     values,
     label: str = "",
     part: str = FULL,
     group: GroupId | None = None,
 ) -> SpectrumGens:
-    """Drop duplicates and every value dividing another value.
-
-    Values are taken largest first and tested against the kept ones only:
-    a larger value that was dropped divides a kept one, so it never
-    decides alone."""
-    vals = sorted(set(values), reverse=True)
+    """Drop duplicates and every value dividing another value, by _maximal."""
+    vals = set(values)
     if not vals:
         raise DomainError("cannot reduce an empty collection")
-    if vals[-1] < 1:
-        raise DomainError(f"values must be positive, got {vals[-1]}")
-    kept: list[int] = []
-    for v in vals:
-        if not any(w % v == 0 for w in kept):
-            kept.append(v)
-    return SpectrumGens(label, part, tuple(reversed(kept)), group)
+    if min(vals) < 1:
+        raise DomainError(f"values must be positive, got {min(vals)}")
+    return SpectrumGens(label, part, tuple(reversed(_maximal(vals))), group)
 
 
 def contains(spec: SpectrumGens, a: int) -> bool:
@@ -253,58 +256,61 @@ def parse_spectrum(text: str) -> SpectrumGens:
         raise UsageError(f"malformed spectrum serialization: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
-def _partitions(total: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of total into positive parts, each descending."""
+# Bounded like arith.cyclotomic_value; one q with rest <= MAX_RANK needs
+# fewer than 100 entries.
+@lru_cache(maxsize=4096)
+def _lcm_states(q: int, rest: int, max_part: int) -> frozenset:
+    """The triples (lcm(q^n1 - d1, ..., q^ns - ds), d1 * ... * ds, min(s, 3))
+    over partitions n1 + ... + ns = rest into parts <= max_part and signs
+    di in {+1, -1}, keeping in each (sign, parts) class only the values that
+    divide no other value of the class.
 
-    def rec(rest: int, max_part: int) -> list[tuple[int, ...]]:
-        if rest == 0:
-            return [()]
-        out = []
-        for first in range(min(rest, max_part), 0, -1):
-            out.extend((first, *tail) for tail in rec(rest - first, first))
-        return out
-
-    return tuple(rec(total, total))
+    The recursion takes the largest part a and its multiplicity c.  Among c
+    equal parts only the presence of each sign affects the lcm, and only the
+    parity of the minus count affects the sign product.  Every later step
+    takes lcms with the same values in both members of a class, so a value
+    dropped for dividing another never yields a maximal one."""
+    if rest == 0:
+        return frozenset({(1, 1, 0)})
+    classes: dict[tuple[int, int], set[int]] = {}
+    for a in range(min(rest, max_part), 0, -1):
+        minus, plus = q**a - 1, q**a + 1
+        both = math.lcm(minus, plus)
+        for c in range(1, rest // a + 1):
+            tail = _lcm_states(q, rest - a * c, a - 1)
+            # all c signs +1, all -1, or both with an odd or (c >= 3) even
+            # count of -1
+            opts = {(minus, 1), (plus, (-1) ** c)}
+            opts.update((both, (-1) ** m) for m in range(1, min(c, 3)))
+            for v, s in opts:
+                for w, t, k in tail:
+                    key = (s * t, min(k + c, 3))
+                    classes.setdefault(key, set()).add(math.lcm(v, w))
+    return frozenset(
+        (v, s, k) for (s, k), vals in classes.items() for v in _maximal(vals)
+    )
 
 
 def _signed_lcms(
     q: int, total: int, min_parts: int = 1, sign_product: int | None = None
 ) -> set[int]:
-    """All values lcm(q^n1 - d1, ..., q^ns - ds) over partitions
+    """Values lcm(q^n1 - d1, ..., q^ns - ds) over partitions
     n1 + ... + ns = total with s >= min_parts and signs di in {+1, -1}
-    chosen independently.
+    chosen independently, enough of them for every maximal one: a value
+    left out divides one that is kept.
 
     When sign_product is +1 or -1, only sign choices with
-    d1 * d2 * ... * ds == sign_product contribute.
+    d1 * d2 * ... * ds == sign_product contribute.  min_parts is at most 3,
+    the count that _lcm_states keeps.
     """
-    out: set[int] = set()
-    for part in _partitions(total):
-        if len(part) < min_parts:
-            continue
-        classes = sorted(Counter(part).items())
-        # Per class of equal parts, only the presence of each sign affects
-        # the lcm, and only the minus-count parity affects the sign product.
-        choices_per_class = []
-        for size, count in classes:
-            opts = []
-            for minus in range(count + 1):
-                vals = []
-                if minus < count:
-                    vals.append(q**size - 1)
-                if minus > 0:
-                    vals.append(q**size + 1)
-                opts.append((math.lcm(*vals), -1 if minus % 2 else 1))
-            choices_per_class.append(opts)
-        for combo in itertools.product(*choices_per_class):
-            if sign_product is not None:
-                sign = 1
-                for _, s in combo:
-                    sign *= s
-                if sign != sign_product:
-                    continue
-            out.add(math.lcm(*(v for v, _ in combo)))
-    return out
+    if min_parts > 3:
+        raise DomainError(
+            f"_signed_lcms counts parts up to 3, got min_parts={min_parts}"
+        )
+    return {
+        v for v, s, k in _lcm_states(q, total, total)
+        if k >= min_parts and sign_product in (None, s)
+    }
 
 
 def _sp_odd_gens(n: int, q: int, p: int, d: int) -> set[int]:

@@ -288,16 +288,71 @@ def test_values_outside_the_phi_table_go_to_sympy(monkeypatch) -> None:
     assert calls == [value]
 
 
-def test_is_prime_asks_sympy_once_per_value(monkeypatch) -> None:
-    calls = []
-    isprime = sympy.isprime
+def test_is_prime_matches_sympy_on_random_odd_values() -> None:
+    """Odd values of 21 to 200 bits, on both sides of the Miller-Rabin bound."""
+    rng = random.Random(1801)
+    for bits in range(21, 201):
+        for _ in range(12):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            assert arith.is_prime(n) == sympy.isprime(n), n
+        n = sympy.randprime(1 << (bits - 1), 1 << bits)
+        assert arith.is_prime(n), n
 
-    def counting_isprime(n):
-        calls.append(n)
-        return isprime(n)
 
+def test_is_prime_on_semiprimes_and_strong_pseudoprimes() -> None:
+    """Primes near 2^64, 2^82 and 2^113 with their products, semiprimes of
+    those sizes made of two halves, and the least strong pseudoprimes to the
+    first 4, 9, 12 and 13 prime bases; the last one is the Miller-Rabin
+    bound itself, so the strong BPSW branch decides it."""
+    values = []
+    for k in (64, 82, 113):
+        below, above = sympy.prevprime(1 << k), sympy.nextprime(1 << k)
+        half = sympy.nextprime(1 << (k // 2)) * sympy.nextprime(1 << (k - k // 2))
+        values += [below, above, below * above, half, above * above]
+    pseudoprimes = [
+        3215031751,
+        3825123056546413051,
+        318665857834031151167461,
+        3317044064679887385961981,
+    ]
+    assert pseudoprimes[-1] == arith._MR_BOUND
+    for n in values + pseudoprimes:
+        assert arith.is_prime(n) == sympy.isprime(n), n
+    assert not any(arith.is_prime(n) for n in pseudoprimes)
+
+
+def test_strong_lucas_test_matches_sympy() -> None:
+    """The Lucas half of strong BPSW, on its own: it passes the strong Lucas
+    pseudoprimes 5459, 5777, ..., as sympy's test does, and agrees with it
+    on seeded odd values with no prime factor up to 41."""
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert arith._strong_lucas_probable_prime(n) and not sympy.isprime(n)
+    rng = random.Random(1802)
+    checked = 0
+    while checked < 3000:
+        n = rng.getrandbits(rng.randint(8, 120)) | 1
+        if n > 41 and all(n % a for a in arith._MR_BASES):
+            checked += 1
+            assert arith._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+def test_is_prime_answers_a_repeated_value_from_its_cache() -> None:
     arith.is_prime.cache_clear()
-    monkeypatch.setattr(sympy, "isprime", counting_isprime)
-    assert arith.is_prime(2**61 - 1) and arith.is_prime(2**61 - 1)
-    assert not arith.is_prime(2**61 + 1) and not arith.is_prime(2**61 + 1)
-    assert calls == [2**61 - 1, 2**61 + 1]
+    assert arith.is_prime(2**89 - 1)
+    before = arith.is_prime.cache_info()
+    assert arith.is_prime(2**89 - 1)
+    after = arith.is_prime.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_every_large_phi_table_prime_passes_is_prime() -> None:
+    """The 173 table primes >= 2^20: 6 above the Miller-Rabin bound, the
+    largest of 101 bits."""
+    tokens = " ".join(arith._phi_table().values()).split()
+    primes = sorted({r for t in tokens if (r := int(t.partition("^")[0])) >= 1 << 20})
+    assert len(primes) == 173
+    assert sum(r >= arith._MR_BOUND for r in primes) == 6
+    assert primes[-1].bit_length() == 101
+    assert all(arith.is_prime(r) for r in primes)

@@ -5,8 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,48 @@ def test_find_cocliques_matches_combinations_filter() -> None:
             assert primegraph.find_cocliques(graph, size) == _cocliques_by_filter(
                 graph, size
             ), (verts, edges, size)
+
+
+def test_find_cocliques_on_graphs_wider_than_a_machine_word() -> None:
+    """A random graph on 72 vertices, as many as the largest benchmark
+    graph, and the prime graph of S24(4096)."""
+    rng = random.Random(37)
+    verts = tuple(sorted(rng.sample(range(2, 1000), 72)))
+    edges = tuple(e for e in itertools.combinations(verts, 2) if rng.random() < 0.6)
+    wide = primegraph.PrimeGraph("r", "full", verts, edges)
+    s24 = primegraph.build_graph(spectra.group_id(SP, 12, 4096))
+    assert len(s24.vertices) > 64
+    for graph in (wide, s24):
+        for size in (1, 2, 3):
+            assert primegraph.find_cocliques(graph, size) == _cocliques_by_filter(
+                graph, size
+            ), (graph.label, size)
+
+
+def test_closed_form_path_imports_no_sympy() -> None:
+    """Orders, prime graphs and 3-cocliques of S24(4096), O25(243) and the
+    p'-graph of O24-(49), and the whole verification suite, in a fresh
+    interpreter: primality is decided in arith and every Phi_m(p) >= 2^20
+    comes from the table, so sympy is never loaded."""
+    script = (
+        "import sys\n"
+        "from ordspec import primegraph, spectra, verify\n"
+        "for family, q, part in (('Sp', 4096, 'full'), ('Bn', 243, 'full'),\n"
+        "                        ('Dminus', 49, 'p-prime')):\n"
+        "    group = spectra.group_id(family, 12, q)\n"
+        "    primegraph.group_order(group)\n"
+        "    primegraph.find_cocliques(primegraph.build_graph(group, part), 3)\n"
+        "reports = verify.run_suite(verify.default_config())\n"
+        "assert all(r.passed for r in reports), 'suite'\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = str(Path(primegraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_group_order_returns_independent_factorizations() -> None:

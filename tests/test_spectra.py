@@ -7,7 +7,9 @@ test_oracle and test_acceptance for the machine side of that bargain).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -343,6 +345,51 @@ def test_split_prime_power_factors_each_q_once(monkeypatch) -> None:
         with pytest.raises(DomainError):
             spectra.split_prime_power(96)
     assert calls == [96, 96]
+
+
+def _partitions(total: int, max_part: int | None = None):
+    """Every partition of total into parts <= max_part, each descending."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part or total), 0, -1):
+        for tail in _partitions(total - first, first):
+            yield (first, *tail)
+
+
+def _signed_lcms_by_enumeration(q, total, min_parts=1, sign_product=None):
+    """lcm(q^n1 - d1, ..., q^ns - ds) over every partition of total with
+    s >= min_parts and every sign choice with the given product."""
+    out = set()
+    for part in _partitions(total):
+        if len(part) < min_parts:
+            continue
+        for signs in itertools.product((1, -1), repeat=len(part)):
+            if sign_product in (None, math.prod(signs)):
+                out.add(math.lcm(*(q**a - d for a, d in zip(part, signs))))
+    return out
+
+
+BENCHMARK_Q = (2, 4, 8, 16, 32, 64, 128, 256, 1024, 2048, 4096,
+               3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 243)
+
+
+def test_signed_lcms_keep_every_maximal_value_of_the_enumeration() -> None:
+    """The memoised partition states give the same maximal values as the
+    walk over every partition and every choice of signs."""
+    for q in BENCHMARK_Q:
+        for total in range(1, 11):
+            for min_parts, sign in ((1, None), (2, None), (3, 1), (3, -1)):
+                if min_parts > total:
+                    continue
+                fast = spectra._signed_lcms(q, total, min_parts, sign)
+                slow = _signed_lcms_by_enumeration(q, total, min_parts, sign)
+                assert fast <= slow, (q, total, min_parts, sign)
+                assert (
+                    spectra.reduce_gens(fast).gens == spectra.reduce_gens(slow).gens
+                ), (q, total, min_parts, sign)
+    with pytest.raises(DomainError, match="min_parts=4"):
+        spectra._signed_lcms(3, 6, min_parts=4)
 
 
 def test_b_subset_c_inclusion_odd_q() -> None:
