@@ -17,8 +17,10 @@ or one inside closure, centre, element orders, sampling and the order of
 the twisted element, runs on one engine per field and dimension, in which
 a whole matrix is one int holding the base-p digits of its entries, a row
 is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
-p), and a product is a few table lookups per row.  Every order is read off
-one power walk, g, g^2, ... up to the first central power.
+p), and a product is a few table lookups per row.  Enumeration reads each
+order off one power walk, g, g^2, ... up to the first central power;
+sampling and the twisted element find an order n by baby steps and giant
+steps, in about 16 + n/16 products.
 """
 
 from __future__ import annotations
@@ -564,11 +566,14 @@ def _validated_centre_keys(eng, generators, centre) -> set:
     return keys
 
 
-def _central_power_walk(eng, key: int, centre_keys, bound: int) -> list[int]:
+def _central_power_walk(
+    eng, key: int, centre_keys, bound: int, partial: bool = False
+) -> list[int]:
     """The powers g, g^2, ..., g^(n-1) of g = `key` that come before the
     first power g^n in `centre_keys`, so n = len + 1 is the order of g
-    modulo the centre (an empty list when g itself is central).  Raises
-    ResourceError when n would exceed `bound`."""
+    modulo the centre (an empty list when g itself is central).  When n
+    would exceed `bound` it raises ResourceError, or with `partial` returns
+    all of g, ..., g^bound, none of them central."""
     powers = []
     if key in centre_keys:
         return powers
@@ -578,6 +583,40 @@ def _central_power_walk(eng, key: int, centre_keys, bound: int) -> list[int]:
         acc = mul(acc, tabs)
         if acc in centre_keys:
             return powers
+    if partial:
+        powers.append(acc)
+        return powers
+    raise ResourceError(f"element order exceeds {bound}")
+
+
+# Baby steps in _central_order: about this many products plus n / this many
+# per order n, against n for the whole power walk.
+_BABY_STEPS = 16
+
+
+def _central_order(eng, key: int, centre_keys, bound: int) -> int:
+    """The order n of g = `key` modulo the centre, by Shanks's baby steps
+    and giant steps.  The power walk takes the baby steps g, ..., g^B.  If
+    none is central, n > B, so each window ((i-1)B, iB] holds at most one
+    multiple of n: the giant steps g^(iB), i = 2, 3, ..., are looked up
+    among the central translates z g^j, 0 <= j < B, and the first hit
+    gives n = iB - j.  Raises ResourceError exactly when n > bound."""
+    baby = min(bound, _BABY_STEPS)
+    powers = _central_power_walk(eng, key, centre_keys, baby, partial=bound > baby)
+    if bound <= baby or len(powers) < baby:
+        return len(powers) + 1
+    giant = powers.pop()
+    shifts = [eng.tables(z) for z in centre_keys if z != eng.identity]
+    translates = dict.fromkeys(centre_keys, 0)
+    for j, power in enumerate(powers, 1):
+        translates[power] = j
+        translates.update((eng.mul(power, tabs), j) for tabs in shifts)
+    tabs, acc = eng.tables(giant), giant
+    for i in range(2, -(-bound // baby) + 1):
+        acc = eng.mul(acc, tabs)
+        # a hit past the bound can only come at the last giant step
+        if (j := translates.get(acc)) is not None and i * baby - j <= bound:
+            return i * baby - j
     raise ResourceError(f"element order exceeds {bound}")
 
 
@@ -889,9 +928,9 @@ def twisted_order_with_t(q: int, t: int) -> int:
         raise AssertionError("internal: B(t) outside SU4")
     square = b * b.conj_entries()
     eng = _engine(fld, 4)
-    order = 2 * (len(_central_power_walk(
+    order = 2 * _central_order(
         eng, eng.encode(square.rows), {eng.identity}, _ORDER_BOUND
-    )) + 1)
+    )
     # the fourth power must be the unipotent matrix I + (t^2 + conj(t)^2) E14
     c = fld.add(fld.mul(t, t), fld.mul(fld.conj(t), fld.conj(t)))
     expected = MatrixGF(
@@ -922,7 +961,8 @@ def twisted_order_b_gamma(q: int) -> int:
 
 def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, ...]:
     """Orders of `count` seeded-random words in the generators (modulo the
-    optional centre), as a sorted tuple.  Deterministic for a fixed seed."""
+    optional centre, by _central_order), as a sorted tuple.  Deterministic
+    for a fixed seed."""
     gens, fld, dim = _matrix_ring(generators)
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
@@ -936,8 +976,7 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
         key = eng.identity
         for _ in range(length):
             key = eng.mul(key, rng.choice(gen_tabs))
-        powers = _central_power_walk(eng, key, centre_keys, _ORDER_BOUND)
-        seen.add(len(powers) + 1)
+        seen.add(_central_order(eng, key, centre_keys, _ORDER_BOUND))
     return tuple(sorted(seen))
 
 

@@ -48,10 +48,13 @@ def primitive_prime_divisors(q: int, n: int) -> tuple[int, ...]:
     """
     _check_args(q, n)
     primes = tuple(r for r, _ in arith.cyclotomic_factors(n, q) if n % r)
+    # order exactly n, read from the primes of n alone, with nothing
+    # factored: q^n = 1 mod r and q^(n/s) != 1 for each prime s of n
+    primes_of_n = [s for s in range(2, n + 1) if n % s == 0 and arith.is_prime(s)]
     for r in primes:
-        if arith.mult_order(q, r) != n:
+        if pow(q, n, r) != 1 or any(pow(q, n // s, r) == 1 for s in primes_of_n):
             raise AssertionError(
                 f"internal: {r} divides the primitive part of ({q}, {n}) "
-                f"but has order {arith.mult_order(q, r)}"
+                f"but does not have order {n}"
             )
     return primes

@@ -867,3 +867,90 @@ def test_enumerate_group_rejects_a_pair_that_generates_less(monkeypatch) -> None
 def test_enumerate_group_without_a_pair_is_a_resource_error() -> None:
     with pytest.raises(ResourceError, match="9170703360 elements"):
         oracle.enumerate_group("Sp", 6, 3)
+
+
+def _seeded_word_keys(family: str, dim: int, q: int, count: int, seed: int):
+    """The engine, `count` seeded random words in the standard generators
+    as keys, and the centre's keys."""
+    gens = oracle.standard_generators(family, dim, q)
+    eng = oracle._engine(gens[0].field, dim)
+    tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(count):
+        key = eng.identity
+        for _ in range(rng.randint(2, 24)):
+            key = eng.mul(key, rng.choice(tabs))
+        keys.append(key)
+    centre = oracle.central_scalars(family, dim, q)
+    return eng, keys, {eng.encode(z.rows) for z in centre}
+
+
+@pytest.mark.parametrize("baby_steps", [2, 5, 16])
+def test_central_order_agrees_with_the_power_walk(monkeypatch, baby_steps) -> None:
+    """Baby steps and giant steps give the order the full walk gives, also
+    modulo the centre +-I of Sp4(3) and Sp6(3), where a giant step can land
+    on -g^j rather than on g^j."""
+    monkeypatch.setattr(oracle, "_BABY_STEPS", baby_steps)
+    for family, dim, q in (
+        ("Sp", 4, 3), ("Sp", 6, 3), ("Sp", 4, 4), ("SU", 4, 8), ("GOplus", 4, 2)
+    ):
+        eng, keys, centre = _seeded_word_keys(family, dim, q, 120, seed=21)
+        for key in keys:
+            walk = len(oracle._central_power_walk(eng, key, centre, 10**6)) + 1
+            got = oracle._central_order(eng, key, centre, 10**6)
+            assert got == walk, (family, dim, q, baby_steps)
+
+
+def _cycle_key(k: int):
+    """The engine for k x k matrices over GF(2) and the key of the k-cycle
+    permutation matrix, whose order is exactly k."""
+    eng = oracle._Engine(oracle.field_of_order(2), k)
+    rows = [[int(j == (i + 1) % k) for j in range(k)] for i in range(k)]
+    return eng, eng.encode(rows)
+
+
+def test_central_order_on_both_sides_of_the_baby_steps() -> None:
+    assert oracle._BABY_STEPS == 16
+    for k in (15, 16, 17, 32, 33):
+        eng, key = _cycle_key(k)
+        assert oracle._central_order(eng, key, {eng.identity}, 10**6) == k, k
+    eng, _ = _cycle_key(17)
+    assert oracle._central_order(eng, eng.identity, {eng.identity}, 10**6) == 1
+    # -I is central in Sp4(3): order 1 modulo the centre
+    eng, _, centre = _seeded_word_keys("Sp", 4, 3, 1, seed=0)
+    for z in centre:
+        assert oracle._central_order(eng, z, centre, 10**6) == 1
+    # diag(2, 1/2) over GF(37), where 2 has order 36: its order modulo
+    # +-I is 18, and g^32 = -g^14 is found only among the translates
+    eng = oracle._Engine(oracle.field_of_order(37), 2)
+    centre = {eng.identity, eng.encode(((36, 0), (0, 36)))}
+    key = eng.encode(((2, 0), (0, 19)))
+    assert oracle._central_order(eng, key, centre, 10**6) == 18
+
+
+@pytest.mark.parametrize("k", [5, 16, 17, 32, 33, 34])
+def test_central_order_stops_at_the_bound(k) -> None:
+    """Order k passes bound k and is a ResourceError under bound k - 1:
+    in the baby phase (k <= 17), past the last giant step (33) and at a
+    giant step that lands beyond the bound (32, 34)."""
+    eng, key = _cycle_key(k)
+    assert oracle._central_order(eng, key, {eng.identity}, k) == k
+    with pytest.raises(ResourceError, match=f"exceeds {k - 1}"):
+        oracle._central_order(eng, key, {eng.identity}, k - 1)
+
+
+def test_sample_orders_pinned_past_the_baby_steps() -> None:
+    """SU4(16) and SU4(32) have orders up to 4097 and 32769, so most of
+    their words end in the giant phase; these tuples come from the whole
+    power walk."""
+    want = {
+        16: (1, 2, 4, 6, 15, 17, 30, 34, 85, 102, 170, 255, 257, 510, 771,
+             1285, 3855, 4097),
+        32: (1, 2, 4, 6, 31, 33, 41, 62, 66, 341, 682, 1023, 1025, 2046,
+             3641, 6355, 10923, 31775, 32769),
+    }
+    for q, orders in want.items():
+        gens = oracle.standard_generators("SU", 4, q)
+        centre = oracle.central_scalars("SU", 4, q)
+        assert oracle.sample_orders(gens, 100, seed=2024, centre=centre) == orders

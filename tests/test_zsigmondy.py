@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -85,3 +86,34 @@ def test_argument_validation() -> None:
         zsigmondy.primitive_prime_divisors(5, 0)
     with pytest.raises(DomainError):
         zsigmondy.primitive_part(0, 3)
+
+
+@pytest.mark.parametrize("wrong", [3, 7])
+def test_a_prime_of_the_wrong_order_is_refused(monkeypatch, wrong) -> None:
+    """The order check needs only the primes of n: 2^4 = 1 modulo 3, but
+    so is 2^2, and 7 does not divide 2^4 - 1."""
+    monkeypatch.setattr(arith, "cyclotomic_factors", lambda n, q: ((wrong, 1),))
+    with pytest.raises(AssertionError, match=f"{wrong} divides .* order 4"):
+        zsigmondy.primitive_prime_divisors(2, 4)
+
+
+def test_primitive_primes_without_mult_order(monkeypatch) -> None:
+    """Without arith.mult_order the lists are the ones the mult_order
+    check gave, over every 2 <= q < 60 and n < 30 with Phi_n(q) < 2^64
+    (1,309 of the 1,682 pairs; the rest only take longer to factor)."""
+
+    def refuse(*args):
+        raise AssertionError("mult_order called")
+
+    monkeypatch.setattr(arith, "mult_order", refuse)
+    rows = [
+        f"{q} {n} {' '.join(map(str, zsigmondy.primitive_prime_divisors(q, n)))}"
+        for q in range(2, 60)
+        for n in range(1, 30)
+        if arith.cyclotomic_value(n, q).bit_length() <= 64
+    ]
+    assert len(rows) == 1309
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == (
+        "9af150160deb7c3939aca25c63385f1b8e7e61daef1f9cc413b771122bd8a4c5"
+    )
