@@ -16,6 +16,15 @@ Closed forms are available for:
   to the defining characteristic p).
 
 Everything else raises UnsupportedError.
+
+S_2n(q), for q of either parity, and O_2n+1(q) come from one construction
+(Buturlakin, Spectra of finite symplectic and orthogonal groups, 2011):
+the orders of the maximal tori, lcms of q^n1 +/- 1, ..., q^ns +/- 1 over
+signed partitions of n, and p^k times the tori of rank n - u_k for every
+k >= 1 with u_k = p^(k-1) // 2 + 1 <= n, the rank a unipotent element of
+order p^k takes up.  For odd q the one-part tori q^n +/- 1 are halved, and
+for O_2n+1(q) also the one-part tori beside p^k.  The O_8^+/-(q) and
+GO_8^-(q) lists and the O_2n^+/-(q) p'-forms are written out on their own.
 """
 
 from __future__ import annotations
@@ -291,58 +300,25 @@ def _lcm_states(q: int, rest: int, max_part: int) -> frozenset:
     )
 
 
-def _signed_lcms(
-    q: int, total: int, min_parts: int = 1, sign_product: int | None = None
-) -> set[int]:
-    """Values lcm(q^n1 - d1, ..., q^ns - ds) over partitions
-    n1 + ... + ns = total with s >= min_parts and signs di in {+1, -1}
-    chosen independently, enough of them for every maximal one: a value
-    left out divides one that is kept.
-
-    When sign_product is +1 or -1, only sign choices with
-    d1 * d2 * ... * ds == sign_product contribute.  min_parts is at most 3,
-    the count that _lcm_states keeps.
-    """
-    if min_parts > 3:
-        raise DomainError(
-            f"_signed_lcms counts parts up to 3, got min_parts={min_parts}"
-        )
+def _tori(q: int, rank: int, one_part_divisor: int) -> set[int]:
+    """The maximal values of lcm(q^n1 - d1, ..., q^ns - ds) over signed
+    partitions of rank, the orders the maximal tori of rank `rank` reach,
+    with the one-part values q^rank -/+ 1 divided by one_part_divisor.
+    Rank 0 gives {1}."""
     return {
-        v for v, s, k in _lcm_states(q, total, total)
-        if k >= min_parts and sign_product in (None, s)
+        v // one_part_divisor if k == 1 else v
+        for v, s, k in _lcm_states(q, rank, rank)
     }
 
 
-def _sp_odd_gens(n: int, q: int, p: int, d: int) -> set[int]:
-    """Spectrum generators for S_2n(q) (d = 1) and O_2n+1(q) (d = 2), q odd."""
-    gens = {(q**n - 1) // 2, (q**n + 1) // 2}
-    gens |= _signed_lcms(q, n, min_parts=2)
+def _sp_gens(n: int, q: int, p: int, divisor: int) -> set[int]:
+    """Spectrum generators for S_2n(q) (divisor 1) and O_2n+1(q) (divisor 2,
+    q odd): the maximal tori, and p^k times the tori of rank n - u_k left
+    beside a unipotent of order p^k, u_k = p^(k-1) // 2 + 1, for k >= 1."""
+    gens = _tori(q, n, 2 if p != 2 else 1)
     k = 1
-    while p ** (k - 1) + 1 <= 2 * n:
-        rest = 2 * n - (p ** (k - 1) + 1)
-        if rest == 0:
-            gens.add(p**k)
-        elif rest % 2 == 0:
-            n1 = rest // 2
-            gens.add(p**k * (q**n1 - 1) // d)
-            gens.add(p**k * (q**n1 + 1) // d)
-            for v in _signed_lcms(q, n1, min_parts=2):
-                gens.add(p**k * v)
-        k += 1
-    return gens
-
-
-def _sp_even_gens(n: int, q: int) -> set[int]:
-    """Spectrum generators for S_2n(q) = Sp_2n(q), q even."""
-    gens = set(_signed_lcms(q, n))
-    gens |= {2 * v for v in _signed_lcms(q, n - 1)}
-    k = 2
-    while 2 ** (k - 2) + 1 <= n:
-        rest = n - (2 ** (k - 2) + 1)
-        if rest == 0:
-            gens.add(2**k)
-        else:
-            gens |= {2**k * v for v in _signed_lcms(q, rest)}
+    while (u := p ** (k - 1) // 2 + 1) <= n:
+        gens |= {p**k * v for v in _tori(q, n - u, divisor)}
         k += 1
     return gens
 
@@ -397,7 +373,7 @@ def _semi_gens(n: int, q: int, eps: int) -> set[int]:
             y = q**n2 - eps * delta
             d = 2 if d4 == 4 and arith.r_part(x, 2) == arith.r_part(y, 2) else 1
             gens.add(math.lcm(x, y) // d)
-    gens |= _signed_lcms(q, n, min_parts=3, sign_product=eps)
+    gens |= {v for v, s, k in _lcm_states(q, n, n) if k == 3 and s == eps}
     return gens
 
 
@@ -417,9 +393,9 @@ def spectrum(group: GroupId) -> SpectrumGens:
             raise DomainError(
                 "S4(2) excluded: not simple, closed form inapplicable"
             )
-        raw = _sp_odd_gens(n, q, p, 1) if p != 2 else _sp_even_gens(n, q)
+        raw = _sp_gens(n, q, p, 1)
     elif group.family == BN:
-        raw = _sp_odd_gens(n, q, p, 2)
+        raw = _sp_gens(n, q, p, 2)
     elif group.family == O8PLUS or (group.family == DPLUS and n == 4):
         raw = _o8plus_gens(q, p)
     elif group.family == O8MINUS or (group.family == DMINUS and n == 4 and p == 2):

@@ -7,6 +7,7 @@ test_oracle and test_acceptance for the machine side of that bargain).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import random
 import pytest
 
 from ordspec import arith, spectra
-from ordspec.errors import DomainError, UnsupportedError
+from ordspec.errors import DomainError, OrdspecError, UnsupportedError
 from ordspec.spectra import BN, DMINUS, DPLUS, GO8MINUS, O8MINUS, O8PLUS, SP
 
 # (family, n, q) -> reduced generator list of the full spectrum
@@ -374,22 +375,49 @@ BENCHMARK_Q = (2, 4, 8, 16, 32, 64, 128, 256, 1024, 2048, 4096,
                3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 243)
 
 
-def test_signed_lcms_keep_every_maximal_value_of_the_enumeration() -> None:
+def test_lcm_states_keep_every_maximal_value_of_the_enumeration() -> None:
     """The memoised partition states give the same maximal values as the
-    walk over every partition and every choice of signs."""
+    walk over every partition and every choice of signs, in each of the
+    (min_parts, sign product) classes the closed forms read."""
     for q in BENCHMARK_Q:
+        assert spectra._lcm_states(q, 0, 0) == {(1, 1, 0)}
         for total in range(1, 11):
+            states = spectra._lcm_states(q, total, total)
             for min_parts, sign in ((1, None), (2, None), (3, 1), (3, -1)):
                 if min_parts > total:
                     continue
-                fast = spectra._signed_lcms(q, total, min_parts, sign)
+                fast = {
+                    v for v, s, k in states
+                    if k >= min_parts and sign in (None, s)
+                }
                 slow = _signed_lcms_by_enumeration(q, total, min_parts, sign)
                 assert fast <= slow, (q, total, min_parts, sign)
                 assert (
                     spectra.reduce_gens(fast).gens == spectra.reduce_gens(slow).gens
                 ), (q, total, min_parts, sign)
-    with pytest.raises(DomainError, match="min_parts=4"):
-        spectra._signed_lcms(3, 6, min_parts=4)
+
+
+def test_closed_forms_past_max_rank_are_pinned(monkeypatch) -> None:
+    """Sp and Bn (full) and Dplus and Dminus (p') for n = 2 .. 14 over
+    every BENCHMARK_Q keep one sha256 of their canonical JSON, errors
+    included, two ranks past the MAX_RANK the other tests reach."""
+    monkeypatch.setattr(spectra, "MAX_RANK", 14)
+    digest = hashlib.sha256()
+    for family, part in (
+        (SP, spectra.FULL), (BN, spectra.FULL),
+        (DPLUS, spectra.PPRIME), (DMINUS, spectra.PPRIME),
+    ):
+        for n in range(2, 15):
+            for q in BENCHMARK_Q:
+                try:
+                    group = spectra.group_id(family, n, q)
+                    line = spectra.serialize(spectra.spectrum_of_part(group, part))
+                except OrdspecError as exc:
+                    line = f"{family} {n} {q}: {exc}"
+                digest.update((line + "\n").encode())
+    assert digest.hexdigest() == (
+        "2cb5503bf108b023b3c595f71bd856f568e5bfcf79937c911b8d639fc12881ff"
+    )
 
 
 def test_b_subset_c_inclusion_odd_q() -> None:
