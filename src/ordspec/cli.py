@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import oracle, primegraph, spectra, verify
+from . import spectra
 from .errors import OrdspecError, UsageError
 from .spectra import FAMILIES, FULL, PPRIME
 
@@ -50,6 +50,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import primegraph
+
     group = spectra.group_id(args.family, args.n, args.q)
     graph = primegraph.build_graph(group, part=args.part)
     if args.format == "text":
@@ -61,6 +63,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_coclique(args) -> int:
+    from . import primegraph
+
     group = spectra.group_id(args.family, args.n, args.q)
     graph = primegraph.build_graph(group, part=args.part)
     found = primegraph.find_cocliques(graph, args.size)
@@ -77,6 +81,8 @@ def cmd_coclique(args) -> int:
 
 
 def _emit_reports(reports, fmt: str) -> int:
+    from . import verify
+
     if fmt == "text":
         for rep in reports:
             print(verify.summary(rep))
@@ -89,13 +95,23 @@ def _emit_reports(reports, fmt: str) -> int:
     return 0 if verify.suite_passed(reports) else 1
 
 
+def _check_keys(kind: str) -> tuple:
+    from . import verify
+
+    return verify.CHECKS[kind][0]
+
+
 def cmd_verify(args) -> int:
-    keys = verify.CHECKS[args.kind][0]
+    from . import verify
+
+    keys = _check_keys(args.kind)
     entry = {"kind": args.kind, **{key: getattr(args, key) for key in keys}}
     return _emit_reports([verify.run_check(entry)], args.format)
 
 
 def cmd_verify_suite(args) -> int:
+    from . import verify
+
     if args.grid:
         try:
             with open(args.grid, "r", encoding="utf-8") as fh:
@@ -110,15 +126,18 @@ def cmd_verify_suite(args) -> int:
 
 
 def cmd_oracle_enumerate(args) -> int:
+    from . import oracle
+
     family, dim = ORACLE_GROUPS[args.group]
-    order, centre, spec = oracle.enumerate_group(
-        family, dim, args.q, cap=args.cap
-    )
+    cap = oracle.DEFAULT_CAP if args.cap is None else args.cap
+    order, centre, spec = oracle.enumerate_group(family, dim, args.q, cap=cap)
     print(f"order={order} spectrum=" + " ".join(str(g) for g in spec.gens))
     return 0
 
 
 def cmd_oracle_sample(args) -> int:
+    from . import oracle
+
     family, dim = ORACLE_GROUPS[args.group]
     gens = oracle.standard_generators(family, dim, args.q)
     centre = oracle.central_scalars(family, dim, args.q)
@@ -128,6 +147,8 @@ def cmd_oracle_sample(args) -> int:
 
 
 def cmd_oracle_twisted(args) -> int:
+    from . import oracle
+
     print(f"order={oracle.twisted_order_b_gamma(args.q)}")
     return 0
 
@@ -144,7 +165,9 @@ def _add_common_flags(sub, part: bool = True) -> None:
     sub.add_argument("--format", choices=("text", "structured"), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verify_flags: bool = True) -> argparse.ArgumentParser:
+    """The full parser.  Without verify_flags the verify checks get no
+    flags, so that commands other than verify never import verify."""
     parser = argparse.ArgumentParser(
         prog="ordspec",
         description="Element-order spectra and prime graphs of finite "
@@ -175,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (kind, text, choices) in VERIFY_COMMANDS.items():
         sub = vsub.add_parser(name, help=text)
         # one flag per grid key of the check kind, in the kind's key order
-        for key in verify.CHECKS[kind][0]:
+        for key in _check_keys(kind) if verify_flags else ():
             if key in choices:
                 sub.add_argument(f"--{key}", choices=choices[key], required=True)
             else:
@@ -195,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "order and coset-order spectrum")
     sub.add_argument("group", choices=sorted(ORACLE_GROUPS))
     sub.add_argument("q", type=int)
-    sub.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    sub.add_argument("--cap", type=int)  # None: oracle.DEFAULT_CAP
     sub.set_defaults(func=cmd_oracle_enumerate)
 
     sub = osub.add_parser("sample", help="orders of random generator words "
@@ -215,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(verify_flags=argv[:1] == ["verify"]).parse_args(argv)
     try:
         return args.func(args)
     except OrdspecError as exc:

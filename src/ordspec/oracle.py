@@ -25,7 +25,6 @@ steps, in about 16 + n/16 products.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -1018,6 +1017,8 @@ def enumerate_group(
     a miss, recomputed and overwritten; so is one that cannot be read (say,
     a directory in its place).  A failed write raises UsageError naming the
     path."""
+    import hashlib
+
     gens = _generating_pair(family, dim, q)
     want_order = _matrix_group_order(family, dim, q)
     gen_hash = hashlib.sha256(

@@ -116,17 +116,27 @@ def group_name(family: str, n: int, q: int) -> str:
     return _NAME_TEMPLATES[family].format_map({"2n": 2 * n, "2n+1": 2 * n + 1, "q": q})
 
 
+def _integer_root(a: int, m: int) -> int:
+    """floor(a^(1/m)) for a >= 1 by Newton's method in integers, from
+    2^ceil(bits/m) down, so no float rounds a q above 2^53."""
+    x = 1 << -(-a.bit_length() // m)
+    while (y := ((m - 1) * x + a // x ** (m - 1)) // m) < x:
+        x = y
+    return x
+
+
 @lru_cache(maxsize=None)
 def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^m with p prime, else DomainError.  Memoised: the result is an
-    immutable pair, and an error is raised again on every call."""
+    """q = p^m with p prime, else DomainError.  Nothing is factored: p is
+    the exact integer m-th root of q that is_prime accepts, for m from
+    floor(log2 q) down.  Memoised; an error is raised again on every call."""
     if q < 2:
         raise DomainError(f"field size must be at least 2, got {q}")
-    fact = arith.factorize(q)
-    if len(fact.factors) != 1:
-        raise DomainError(f"field size {q} is not a prime power")
-    ((p, m),) = fact.factors.items()
-    return p, m
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = _integer_root(q, m)
+        if p ** m == q and arith.is_prime(p):
+            return p, m
+    raise DomainError(f"field size {q} is not a prime power")
 
 
 def group_id(family: str, n: int, q: int) -> GroupId:

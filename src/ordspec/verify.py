@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import oracle, primegraph, spectra, zsigmondy
+from . import primegraph, spectra, zsigmondy
 from .errors import DomainError, OrdspecError, UnsupportedError, UsageError
 from .spectra import (
     BN, DMINUS, DPLUS, FULL, GO8MINUS, O8MINUS, O8PLUS, PPRIME, SP,
@@ -529,6 +529,8 @@ def check_coclique_witness(case: str, n: int, q: int) -> CheckReport:
 
 
 def check_go8_equality(q: int) -> CheckReport:
+    from . import oracle
+
     t0 = time.perf_counter()
     p, _ = spectra.split_prime_power(q)
     if p != 2:

@@ -29,6 +29,19 @@ def test_spectrum_text(capsys) -> None:
     assert out == "5 9 12\n"
 
 
+def _run_fresh(script: str) -> str:
+    """stdout of script run in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(ordspec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_start_up_does_not_import_sympy() -> None:
     """sympy is imported on first use above 2^20, so neither importing the
     CLI nor `spectrum Sp 2 3` loads it (checked in a fresh interpreter)."""
@@ -39,14 +52,59 @@ def test_start_up_does_not_import_sympy() -> None:
         "assert ordspec.cli.main(['spectrum', 'Sp', '2', '3']) == 0\n"
         "assert 'sympy' not in sys.modules, 'spectrum Sp 2 3'\n"
     )
-    src = str(Path(ordspec.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        timeout=60,
+    assert _run_fresh(script) == "5 9 12\n"
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["spectrum", "Sp", "2", "3"], ()),
+        (["graph", "Sp", "4", "2"], ("primegraph",)),
+        (["coclique", "Sp", "4", "2", "--size", "3"], ("primegraph",)),
+        (["oracle", "twisted", "8"], ("oracle",)),
+        (["verify", "diff", "--item", "i", "--n", "3", "--q", "3"],
+         ("primegraph", "verify", "zsigmondy")),
+        (["verify", "go8", "--q", "2"],
+         ("oracle", "primegraph", "verify", "zsigmondy")),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, extra) -> None:
+    """After cli.main in a fresh interpreter, the ordspec modules loaded
+    are the CLI's own four plus those the command calls; hashlib, which
+    only the oracle's disk cache uses, is not loaded."""
+    script = (
+        "import sys\n"
+        "import ordspec.cli\n"
+        f"assert ordspec.cli.main({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m.startswith('ordspec') or m == 'hashlib'))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "5 9 12\n"
+    loaded = _run_fresh(script).splitlines()[-1].split()
+    own = ("cli", "errors", "arith", "spectra")
+    assert loaded == sorted(["ordspec", *(f"ordspec.{m}" for m in own + extra)])
+
+
+def test_package_namespace_is_loaded_on_first_access() -> None:
+    """Each public name resolves to its submodule's object, star-import
+    and dir() see every name, an unknown name is an AttributeError that
+    names it, and a bare import loads no submodule."""
+    assert len(ordspec.__all__) == 33
+    for name in ordspec.__all__:
+        value = getattr(ordspec, name)
+        assert value.__module__.startswith("ordspec."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+    namespace: dict = {}
+    exec("from ordspec import *", namespace)
+    assert set(ordspec.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ordspec.no_such_name
+    script = (
+        "import sys\n"
+        "import ordspec\n"
+        "assert set(ordspec.__all__) <= set(dir(ordspec)), 'dir'\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('ordspec')))\n"
+    )
+    assert _run_fresh(script) == "ordspec\n"
 
 
 def test_spectrum_o8minus(capsys) -> None:

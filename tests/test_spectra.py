@@ -11,7 +11,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,24 +332,64 @@ def test_split_prime_power() -> None:
         spectra.split_prime_power(1)
 
 
-def test_split_prime_power_factors_each_q_once(monkeypatch) -> None:
-    """group_id splits q on every call, so a repeated q must not be
-    factored again; a q that is not a prime power is refused every time."""
-    spectra.group_id(SP, 2, 81)
-    calls = []
-    factorize = arith.factorize
-
-    def counting_factorize(a):
-        calls.append(a)
-        return factorize(a)
-
-    monkeypatch.setattr(arith, "factorize", counting_factorize)
-    assert spectra.group_id(SP, 2, 81) == spectra.group_id(SP, 2, 81)
-    assert calls == []
+def test_split_prime_power_factors_nothing(monkeypatch) -> None:
+    """group_id splits q on every call.  The split factors nothing, a
+    repeated q is not split again, and a q that is not a prime power is
+    refused every time."""
+    spectra.split_prime_power(81)
+    tested, factored = [], []
+    for name, log in (("is_prime", tested), ("factorize", factored)):
+        real = getattr(arith, name)
+        monkeypatch.setattr(
+            arith, name, lambda a, real=real, log=log: log.append(a) or real(a)
+        )
+    assert spectra.split_prime_power(81) == spectra.split_prime_power(81) == (3, 4)
+    assert tested == []
     for _ in range(2):
         with pytest.raises(DomainError):
             spectra.split_prime_power(96)
-    assert calls == [96, 96]
+    assert tested == [96, 96]
+    assert spectra.split_prime_power(7**5) == (7, 5)
+    assert factored == []
+
+
+def test_split_prime_power_past_trial_division_without_sympy() -> None:
+    """q above 2^20, prime powers or not, split in a fresh interpreter
+    where sympy cannot be imported: roots are exact integers and each is
+    tested with arith.is_prime."""
+    script = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from ordspec import spectra\n"
+        "from ordspec.errors import DomainError\n"
+        "for q in (2**21, 3**13, 1000003**2, 1048583, 3 * 2**20, 10**12):\n"
+        "    try:\n"
+        "        print(q, *spectra.split_prime_power(q))\n"
+        "    except DomainError as exc:\n"
+        "        print(q, exc)\n"
+    )
+    src = str(Path(spectra.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "2097152 2 21",
+        "1594323 3 13",
+        "1000006000009 1000003 2",
+        "1048583 1048583 1",
+        "3145728 field size 3145728 is not a prime power",
+        "1000000000000 field size 1000000000000 is not a prime power",
+    ]
+
+
+def test_integer_root_is_exact_past_float_precision() -> None:
+    for a in (1, 2, 7, 8, 2**53 + 1, (2**61 - 1) ** 3, 3**200 - 1, 10**40):
+        for m in range(1, 14):
+            r = spectra._integer_root(a, m)
+            assert r**m <= a < (r + 1) ** m, (a, m)
 
 
 def _partitions(total: int, max_part: int | None = None):
