@@ -3,8 +3,10 @@
 The prime graph of a finite group has the primes dividing the group order
 as vertices, with r adjacent to s when the group has an element of order
 rs.  Orders come from the classical formulas, factored through cyclotomic
-values so the numbers being factored stay small; adjacency comes from the
-divisor-generator representation of the spectrum.
+values so the numbers being factored stay small.  Adjacency is read from the
+gcd of each unreduced closed-form value (spectra.spectrum_values) with the
+product of the vertices; the reduction to an antichain serves
+spectra.spectrum, not the graph.
 """
 
 from __future__ import annotations
@@ -76,10 +78,11 @@ class PrimeGraph:
     edge_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if list(self.vertices) != sorted(set(self.vertices)):
+        verts = set(self.vertices)
+        if list(self.vertices) != sorted(verts):
             raise DomainError("vertices must be strictly increasing")
         for r, s in self.edges:
-            if r >= s or r not in self.vertices or s not in self.vertices:
+            if r >= s or r not in verts or s not in verts:
                 raise DomainError(f"bad edge ({r}, {s})")
         p = spectra.part_prime(self.part)
         if p is not None and p in self.vertices:
@@ -95,29 +98,41 @@ class PrimeGraph:
         return (min(r, s), max(r, s)) in self.edge_set
 
 
+def _edges(values, verts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The pairs r < s of verts with r * s dividing some value.  r * s
+    divides the product of the distinct vertices, so it divides a value
+    exactly when it divides their gcd; each distinct gcd is scanned once."""
+    whole = math.prod(verts)
+    edges = set()
+    for g in {math.gcd(v, whole) for v in values}:
+        divs = [v for v in verts if g % v == 0]
+        edges.update(
+            (r, s) for r, s in itertools.combinations(divs, 2) if g % (r * s) == 0
+        )
+    return tuple(sorted(edges))
+
+
 def graph_from_spectrum(spec: SpectrumGens, vertices) -> PrimeGraph:
     """Prime graph on the given vertices with adjacency read off a spectrum:
     r ~ s when r * s divides some generator."""
     verts = tuple(sorted(set(vertices)))
     if verts and verts[0] < 1:
         raise DomainError(f"vertices must be positive, got {verts[0]}")
-    edges = set()
-    for g in spec.gens:
-        divs = [v for v in verts if g % v == 0]
-        edges.update(
-            (r, s) for r, s in itertools.combinations(divs, 2) if g % (r * s) == 0
-        )
-    return PrimeGraph(spec.label, spec.part, verts, tuple(sorted(edges)))
+    return PrimeGraph(spec.label, spec.part, verts, _edges(spec.gens, verts))
 
 
 def build_graph(group: GroupId, part: str = FULL) -> PrimeGraph:
     """The prime graph of the group (part = "full"), or the graph on the
-    non-characteristic primes with adjacency from the p'-spectrum."""
-    spec = spectra.spectrum_of_part(group, part)
+    non-characteristic primes with adjacency from the p'-spectrum, read off
+    the part's unreduced values: r * s divides one of them exactly when it
+    divides a generator of the reduced list, so no antichain is built."""
+    values = spectra.spectrum_values(group, part)
     verts = group_order(group).primes
+    label = FULL
     if part != FULL:
         verts = tuple(r for r in verts if r != group.p)
-    return graph_from_spectrum(spec, verts)
+        label = f"{group.p}'"
+    return PrimeGraph(group.name(), label, verts, _edges(values, verts))
 
 
 def _bits(mask: int):

@@ -4,8 +4,9 @@ The spectrum of a finite group is the set of its element orders, which is
 closed under taking divisors.  For the symplectic and orthogonal families
 handled here the spectrum has a closed form: a short list of numbers whose
 divisors are exactly the element orders.  This module materializes those
-lists, reduced to the divisor-maximal antichain, and provides the set
-operations (membership, inclusion, equality) on the represented sets.
+lists: spectrum_values gives the unreduced values of a part, spectrum and
+spectrum_p_prime reduce them to the divisor-maximal antichain, and the set
+operations (membership, inclusion, equality) act on the represented sets.
 
 Closed forms are available for:
 
@@ -394,52 +395,58 @@ def _check_rank(group: GroupId) -> None:
         )
 
 
-def spectrum(group: GroupId) -> SpectrumGens:
-    """The full spectrum as a reduced generator list."""
+def _check_part(part: str) -> None:
+    if part not in (FULL, PPRIME):
+        raise DomainError(
+            f"unknown spectrum part {part!r}; expected {FULL!r} or {PPRIME!r}"
+        )
+
+
+def spectrum_values(group: GroupId, part: str) -> set[int]:
+    """The unreduced closed-form values of a part, FULL or PPRIME: every
+    element order of the part divides one, and every reduced generator is
+    one (for PPRIME, its p'-part).  Only Dplus and Dminus have p'-values of
+    their own (_semi_gens); the other families keep their p-parts, which a
+    prime graph on primes other than p never reads."""
+    _check_part(part)
     _check_rank(group)
     n, q, p = group.n, group.q, group.p
+    if part == PPRIME and group.family in (DPLUS, DMINUS):
+        return _semi_gens(n, q, 1 if group.family == DPLUS else -1)
     if group.family == SP:
         if (n, q) == (2, 2):
             raise DomainError(
                 "S4(2) excluded: not simple, closed form inapplicable"
             )
-        raw = _sp_gens(n, q, p, 1)
-    elif group.family == BN:
-        raw = _sp_gens(n, q, p, 2)
-    elif group.family == O8PLUS or (group.family == DPLUS and n == 4):
-        raw = _o8plus_gens(q, p)
-    elif group.family == O8MINUS or (group.family == DMINUS and n == 4 and p == 2):
-        raw = _o8minus_gens(q)
-    elif group.family == GO8MINUS:
-        raw = _o8minus_gens(q) | set(go8minus_extras(q))
-    else:
-        raise UnsupportedError(
-            f"full spectrum of {group.name()} has no closed form here; "
-            "only the p'-part is available for this family"
-        )
+        return _sp_gens(n, q, p, 1)
+    if group.family == BN:
+        return _sp_gens(n, q, p, 2)
+    if group.family == O8PLUS or (group.family == DPLUS and n == 4):
+        return _o8plus_gens(q, p)
+    if group.family == O8MINUS or (group.family == DMINUS and n == 4 and p == 2):
+        return _o8minus_gens(q)
+    if group.family == GO8MINUS:
+        return _o8minus_gens(q) | set(go8minus_extras(q))
+    raise UnsupportedError(
+        f"full spectrum of {group.name()} has no closed form here; "
+        "only the p'-part is available for this family"
+    )
+
+
+def spectrum(group: GroupId) -> SpectrumGens:
+    """The full spectrum as a reduced generator list."""
+    raw = spectrum_values(group, FULL)
     return reduce_gens(raw, label=group.name(), group=group)
 
 
 def spectrum_p_prime(group: GroupId) -> SpectrumGens:
     """The p'-part of the spectrum (orders coprime to the characteristic)."""
-    _check_rank(group)
-    n, q, p = group.n, group.q, group.p
-    part = f"{p}'"
-    if group.family == DPLUS:
-        raw = _semi_gens(n, q, 1)
-    elif group.family == DMINUS:
-        raw = _semi_gens(n, q, -1)
-    else:
-        raw = {arith.coprime_part(g, p) for g in spectrum(group).gens}
-    return reduce_gens(raw, label=group.name(), part=part, group=group)
+    p = group.p
+    raw = {arith.coprime_part(v, p) for v in spectrum_values(group, PPRIME)}
+    return reduce_gens(raw, label=group.name(), part=f"{p}'", group=group)
 
 
 def spectrum_of_part(group: GroupId, part: str) -> SpectrumGens:
     """The full spectrum (part FULL) or its p'-part (part PPRIME)."""
-    if part == FULL:
-        return spectrum(group)
-    if part == PPRIME:
-        return spectrum_p_prime(group)
-    raise DomainError(
-        f"unknown spectrum part {part!r}; expected {FULL!r} or {PPRIME!r}"
-    )
+    _check_part(part)
+    return spectrum(group) if part == FULL else spectrum_p_prime(group)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ordspec import arith, primegraph, spectra, zsigmondy
-from ordspec.errors import DomainError, UsageError
+from ordspec.errors import DomainError, OrdspecError, UsageError
 from ordspec.spectra import BN, DMINUS, DPLUS, GO8MINUS, O8MINUS, O8PLUS, SP
 
 
@@ -145,6 +146,18 @@ def test_graph_from_spectrum_matches_pairwise_membership() -> None:
     graph = primegraph.graph_from_spectrum(spec, (6, 2, 4, 3))
     assert graph.vertices == (2, 3, 4, 6)
     assert graph.edges == ((2, 3), (2, 4), (2, 6), (3, 4))
+    # both vertices divide the value but their product does not
+    spec = spectra.SpectrumGens("t", "full", (12,))
+    assert primegraph.graph_from_spectrum(spec, (4, 6)).edges == ()
+    spec = spectra.SpectrumGens("t", "full", (4,))
+    assert primegraph.graph_from_spectrum(spec, (2, 4)).edges == ()
+    # 20 and 28 meet the vertex product 8 in the same gcd, 4
+    spec = spectra.SpectrumGens("t", "full", (20, 28))
+    assert primegraph.graph_from_spectrum(spec, (2, 4)).edges == ()
+    spec = spectra.SpectrumGens("t", "full", (3, 20, 28))
+    assert primegraph.graph_from_spectrum(spec, (2, 3, 4, 5)).edges == (
+        (2, 5), (4, 5),
+    )
     rng = random.Random(29)
     for _ in range(200):
         spec = spectra.reduce_gens(rng.sample(range(1, 400), rng.randint(1, 8)))
@@ -157,6 +170,89 @@ def test_graph_from_spectrum_matches_pairwise_membership() -> None:
         ), (spec.gens, verts)
     with pytest.raises(DomainError):
         primegraph.graph_from_spectrum(spec, (0, 2))
+
+
+# The (family, n, q, part) grid of the closed-form benchmark: 747 groups.
+BENCHMARK_Q = (2, 4, 8, 16, 32, 64, 128, 256, 1024, 2048, 4096,
+               3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 243)
+
+
+def _benchmark_grid() -> list[tuple[str, int, int, str]]:
+    grid = []
+    for q in BENCHMARK_Q:
+        for n in range(2, 13):
+            if (n, q) != (2, 2):
+                grid.append((SP, n, q, spectra.FULL))
+            if q % 2 and n >= 3:
+                grid.append((BN, n, q, spectra.FULL))
+            if n >= 4:
+                grid.append((DPLUS, n, q, spectra.PPRIME))
+                grid.append((DMINUS, n, q, spectra.PPRIME))
+    return grid
+
+
+def test_benchmark_graphs_and_cocliques_are_pinned() -> None:
+    """One sha256 over the canonical JSON and the 3-cocliques of every
+    graph the closed-form benchmark builds."""
+    grid = _benchmark_grid()
+    assert len(grid) == 747
+    digest = hashlib.sha256()
+    for family, n, q, part in grid:
+        graph = primegraph.build_graph(spectra.group_id(family, n, q), part)
+        digest.update((primegraph.export_graph(graph) + "\n").encode())
+        digest.update((repr(primegraph.find_cocliques(graph, 3)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "093d8e03cede12982cb45c6a4f3e9be3abb1eceb1f75237d656fd155b28ef5c5"
+    )
+
+
+def _graph_from_reduced_spectrum(group, part: str) -> primegraph.PrimeGraph:
+    """The prime graph read off the reduced generator list of the part."""
+    spec = spectra.spectrum_of_part(group, part)
+    verts = primegraph.group_order(group).primes
+    if part != spectra.FULL:
+        verts = tuple(r for r in verts if r != group.p)
+    return primegraph.graph_from_spectrum(spec, verts)
+
+
+def _outcome(build, group, part: str):
+    try:
+        return build(group, part)
+    except OrdspecError as exc:
+        return type(exc), str(exc)
+
+
+def test_build_graph_equals_the_graph_of_the_reduced_spectrum() -> None:
+    """build_graph reads adjacency off unreduced values; it gives the graph
+    of the reduced list for every family and both parts (S2n and O2n+1
+    p'-graphs, O8+/-(q) and GO8-(q) included), and the same error."""
+    graphs = 0
+    for family, n, q in itertools.product(
+        spectra.FAMILIES, range(2, 8), (2, 3, 4, 5, 7, 8, 9, 16, 27)
+    ):
+        try:
+            group = spectra.group_id(family, n, q)
+        except DomainError:
+            continue
+        for part in (spectra.FULL, spectra.PPRIME):
+            want = _outcome(_graph_from_reduced_spectrum, group, part)
+            assert _outcome(primegraph.build_graph, group, part) == want, (
+                family, n, q, part,
+            )
+            graphs += isinstance(want, primegraph.PrimeGraph)
+    assert graphs == 321
+    for key, part in (
+        ((SP, 3, 3), "bogus"),
+        ((SP, 2, 2), spectra.FULL),
+        ((SP, 2, 2), spectra.PPRIME),
+        ((DPLUS, 5, 3), spectra.FULL),
+        ((SP, spectra.MAX_RANK + 1, 3), spectra.FULL),
+        ((DMINUS, spectra.MAX_RANK + 1, 3), spectra.PPRIME),
+    ):
+        group = spectra.group_id(*key)
+        want = _outcome(_graph_from_reduced_spectrum, group, part)
+        assert isinstance(want, tuple), (key, part)
+        assert _outcome(primegraph.build_graph, group, part) == want, (key, part)
 
 
 def _cocliques_by_filter(graph, size: int) -> list[tuple[int, ...]]:
