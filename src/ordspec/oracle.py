@@ -6,9 +6,9 @@ generators under multiplication (breadth-first, with elements deduplicated
 by a packed integer key), check the closure against the group's order
 formula, compute the centre as the group's intersection with the
 generators' commutant algebra (a linear system over GF(q)), read off
-element orders modulo that centre by walking each cyclic subgroup once,
-and compare against the formulas.  Sampling draws its random words from
-the full standard generator lists.
+element orders modulo that centre by walking one element per conjugacy
+class, and compare against the formulas.  Sampling draws its random words
+from the full standard generator lists.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
@@ -18,9 +18,11 @@ the twisted element, runs on one engine per field and dimension, in which
 a whole matrix is one int holding the base-p digits of its entries, a row
 is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
 p), and a product is a few table lookups per row.  Enumeration reads each
-order off one power walk, g, g^2, ... up to the first central power;
-sampling and the twisted element find an order n by baby steps and giant
-steps, in about 16 + n/16 products.
+class's order off one power walk, g, g^2, ... up to the first central
+power, and strikes the class by conjugating with the generators, each
+conjugation one product on the engine for dim^2 x dim^2 matrices; sampling
+and the twisted element find an order n by baby steps and giant steps, in
+about 16 + n/16 products.
 """
 
 from __future__ import annotations
@@ -306,10 +308,14 @@ def _reduced_echelon(f: Field, rows) -> tuple[dict[int, list], int]:
 # GF(p)-linear in the digits of the row, so a product is read off one lookup
 # table per slice of consecutive digit fields (the method of Four Russians).
 # Slices follow digit fields rather than whole entries, so a table's size
-# does not grow with the field's degree: at most 2^_SLICE_BITS entries, or
-# 2^b when one digit field alone is wider (p > 127).
+# does not grow with the field's degree.  A slice takes the most fields whose
+# table has at most 2^_SLICE_BITS entries and whose index, guard bits
+# included, is at most _INDEX_BITS wide: 8 fields for p = 2, 4 for p = 3
+# (81 entries spread over a 12-bit index), 3 for p = 5, 2 for 7 <= p <= 13,
+# and one field alone for larger p.
 
 _SLICE_BITS = 8
+_INDEX_BITS = 12
 
 
 class _Engine:
@@ -335,21 +341,25 @@ class _Engine:
             for t in range(1, m)
         ]
         # per slice of a row: its first and end field, index mask, (source,
-        # target) shift of each row, and the layout that spreads a table
-        # indexed by base-p digit values over b-bit fields (None for p = 2,
-        # where the two agree)
-        fields, per_slice = dim * m, max(1, _SLICE_BITS // b)
+        # target) shift of each row, and the index of each base-p digit value
+        # once spread over b-bit fields (None for p = 2, where the two agree)
+        fields, per_slice = dim * m, 1
+        while (
+            p ** (per_slice + 1) <= 1 << _SLICE_BITS
+            and (per_slice + 1) * b <= _INDEX_BITS
+        ):
+            per_slice += 1
+        # a narrower last slice spreads its values as a prefix of this list
+        spread_all = None if p == 2 else [
+            self._spread(i, per_slice) for i in range(p**per_slice)
+        ]
         self.slices = []
         for first in range(0, fields, per_slice):
             n = min(per_slice, fields - first)
-            layout = None
-            if p != 2:
-                layout = [0] * (1 << (n * b))
-                for index in range(p**n):
-                    layout[self._spread(index, n)] = index
+            spread = None if spread_all is None else spread_all[: p**n]
             places = [(rs + first * b, rs) for rs in self.row_shifts]
             self.slices.append(
-                (first, first + n, (1 << (n * b)) - 1, places, layout)
+                (first, first + n, (1 << (n * b)) - 1, places, spread)
             )
         if p == 2:
             self.add = operator.xor
@@ -389,8 +399,9 @@ class _Engine:
         """Right multiplication by the matrix B = `key`: per slice of a row,
         a table from the slice's digits to that digit row times B.  A table
         doubles up field by field, copy a of the table so far adding a times
-        the field's unit row times B, and is then spread over the b-bit
-        fields; the spread leaves zeros where a digit would reach p."""
+        the field's unit row times B, and for odd p is then spread over the
+        b-bit fields by writing its p^n rows at their indices; the indices in
+        between, where a digit would reach p, stay zero."""
         add, emask, row_mask = self.add, self.entry_mask, self.row_mask
         units = []
         for rs in self.row_shifts:
@@ -402,7 +413,7 @@ class _Engine:
                     unit |= scale[(row >> es) & emask] << es
                 units.append(unit)
         out = []
-        for first, end, mask, places, layout in self.slices:
+        for first, end, mask, places, spread in self.slices:
             tab = [0]
             for unit in units[first:end]:
                 grown, multiple = list(tab), 0
@@ -410,21 +421,24 @@ class _Engine:
                     multiple = add(multiple, unit)
                     grown += map(add, tab, repeat(multiple))
                 tab = grown
-            if layout is not None:
-                tab = [tab[i] for i in layout]
+            if spread is not None:
+                wide = [0] * (mask + 1)
+                for index, row in zip(spread, tab):
+                    wide[index] = row
+                tab = wide
             out.append((tab, mask, places))
         return out
 
     def mul(self, key: int, tables) -> int:
         """The key of A * B for A = `key` and `tables` = tables(B).  The rows'
         lookups for one slice sit in disjoint bits, so they are ORed into one
-        int and the slices added once each."""
-        add, out = self.add, 0
+        int and the slices' parts summed, the first taken as it is."""
+        add, out = self.add, None
         for tab, mask, places in tables:
             part = 0
             for source, target in places:
                 part |= tab[(key >> source) & mask] << target
-            out = add(out, part)
+            out = part if out is None else add(out, part)
         return out
 
 
@@ -541,12 +555,13 @@ def centre_of(group: ClosedGroup) -> list[MatrixGF]:
     return out
 
 
-def _validated_centre_keys(eng, generators, centre) -> set:
+def _validated_centre(eng, generators, centre) -> tuple[set, list]:
     """Key set for a centre argument, after checking on engine keys that it
     lies in the generators' matrix ring, contains the identity, is central
-    for the generators, and is closed under product."""
+    for the generators, and is closed under product; and the tables of its
+    elements other than the identity, for _central_order's translates."""
     if centre is None:
-        return {eng.identity}
+        return {eng.identity}, []
     mats = list(centre)
     if not mats:
         raise DomainError("centre argument is empty")
@@ -562,7 +577,7 @@ def _validated_centre_keys(eng, generators, centre) -> set:
             raise DomainError("centre argument contains a non-central element")
     if any(eng.mul(a, t) not in keys for a in keys for t in tabs.values()):
         raise DomainError("centre argument is not closed under product")
-    return keys
+    return keys, [t for z, t in tabs.items() if z != eng.identity]
 
 
 def _central_power_walk(
@@ -593,19 +608,19 @@ def _central_power_walk(
 _BABY_STEPS = 16
 
 
-def _central_order(eng, key: int, centre_keys, bound: int) -> int:
+def _central_order(eng, key: int, centre_keys, shifts, bound: int) -> int:
     """The order n of g = `key` modulo the centre, by Shanks's baby steps
     and giant steps.  The power walk takes the baby steps g, ..., g^B.  If
     none is central, n > B, so each window ((i-1)B, iB] holds at most one
     multiple of n: the giant steps g^(iB), i = 2, 3, ..., are looked up
-    among the central translates z g^j, 0 <= j < B, and the first hit
+    among the central translates z g^j, 0 <= j < B, read off `shifts`, the
+    tables of the central elements other than the identity; the first hit
     gives n = iB - j.  Raises ResourceError exactly when n > bound."""
     baby = min(bound, _BABY_STEPS)
     powers = _central_power_walk(eng, key, centre_keys, baby, partial=bound > baby)
     if bound <= baby or len(powers) < baby:
         return len(powers) + 1
     giant = powers.pop()
-    shifts = [eng.tables(z) for z in centre_keys if z != eng.identity]
     translates = dict.fromkeys(centre_keys, 0)
     for j, power in enumerate(powers, 1):
         translates[power] = j
@@ -619,33 +634,55 @@ def _central_order(eng, key: int, centre_keys, bound: int) -> int:
     raise ResourceError(f"element order exceeds {bound}")
 
 
+def _conjugation_tables(fld: Field, dim: int, s: MatrixGF) -> list:
+    """Tables that turn the key of X into the key of s^-1 X s under
+    _engine(fld, dim * dim).mul.  The key of a dim x dim matrix reads there
+    as row 0 of a (dim^2) x (dim^2) one, and conjugation is GF(p)-linear in
+    X's entries: X[i][j] contributes s^-1[r][i] X[i][j] s[j][c] to entry
+    (r, c), so row (i, j) of the map's matrix holds s^-1[r][i] s[j][c] at
+    column (r, c).  Only row 0's places are kept."""
+    inv, rows = s.inverse().rows, s.rows
+    big = _engine(fld, dim * dim)
+    cells = [(r, c) for r in range(dim) for c in range(dim)]
+    matrix = [
+        [fld.mul(inv[r][i], rows[j][c]) for r, c in cells] for i, j in cells
+    ]
+    tables = big.tables(big.encode(matrix))
+    return [(tab, mask, places[:1]) for tab, mask, places in tables]
+
+
 def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     """The set of element orders of group/centre, as a reduced generator
     list.  With centre None this is the plain order spectrum.
 
-    Each cyclic subgroup modulo the centre is walked once: take an element
-    g still to do and step through g, g^2, ... until g^n lies in the
-    centre.  Every z g^j with z central has an order dividing n modulo the
-    centre, so n is recorded and all of them are struck off, at the cost
-    of one set of tables per walk rather than one per element.  What is
-    struck is always a union of central cosets, so a power already struck
-    needs no translates."""
+    The order modulo the centre is a class function, so one representative
+    per conjugacy class is walked: take an element g still to do, step
+    through g, g^2, ... until g^n lies in the centre, record n, and strike
+    g's whole class, found by conjugating by the generators until nothing
+    new appears.  A class outside the centre never meets it, so k(G) - |Z|
+    walks cover the group, each conjugation one product on the engine for
+    dim^2 x dim^2 matrices."""
     eng = group.engine
-    centre_keys = _validated_centre_keys(eng, group.generators, centre)
+    centre_keys, _ = _validated_centre(eng, group.generators, centre)
     if not centre_keys <= group.key_set:
         raise DomainError("centre argument is not inside the group")
-    shifts = [eng.tables(z) for z in centre_keys if z != eng.identity]
+    mul = _engine(group.field, group.dim * group.dim).mul
+    conjugations = [
+        _conjugation_tables(group.field, group.dim, s) for s in group.generators
+    ]
     todo = group.key_set - centre_keys
     seen: set[int] = set()
     while todo:
-        powers = _central_power_walk(eng, todo.pop(), centre_keys, len(group))
-        seen.add(len(powers) + 1)
-        for j, power in enumerate(powers):
-            # powers[0] is the element just popped
-            if j == 0 or power in todo:
-                todo.discard(power)
-                for tabs in shifts:
-                    todo.discard(eng.mul(power, tabs))
+        rep = todo.pop()
+        seen.add(len(_central_power_walk(eng, rep, centre_keys, len(group))) + 1)
+        # the loop also visits the conjugates appended to the class
+        cls = [rep]
+        for key in cls:
+            for tabs in conjugations:
+                conj = mul(key, tabs)
+                if conj in todo:
+                    todo.remove(conj)
+                    cls.append(conj)
     if not seen:
         seen.add(1)
     return spectra.reduce_gens(seen, label=f"enumerated[{len(group)}]")
@@ -928,7 +965,7 @@ def twisted_order_with_t(q: int, t: int) -> int:
     square = b * b.conj_entries()
     eng = _engine(fld, 4)
     order = 2 * _central_order(
-        eng, eng.encode(square.rows), {eng.identity}, _ORDER_BOUND
+        eng, eng.encode(square.rows), {eng.identity}, [], _ORDER_BOUND
     )
     # the fourth power must be the unipotent matrix I + (t^2 + conj(t)^2) E14
     c = fld.add(fld.mul(t, t), fld.mul(fld.conj(t), fld.conj(t)))
@@ -966,7 +1003,7 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     eng = _engine(fld, dim)
-    centre_keys = _validated_centre_keys(eng, gens, centre)
+    centre_keys, shifts = _validated_centre(eng, gens, centre)
     gen_tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
     rng = random.Random(seed)
     seen = set()
@@ -975,7 +1012,7 @@ def sample_orders(generators, count: int, seed: int, centre=None) -> tuple[int, 
         key = eng.identity
         for _ in range(length):
             key = eng.mul(key, rng.choice(gen_tabs))
-        seen.add(_central_order(eng, key, centre_keys, _ORDER_BOUND))
+        seen.add(_central_order(eng, key, centre_keys, shifts, _ORDER_BOUND))
     return tuple(sorted(seen))
 
 

@@ -19,7 +19,9 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -320,23 +322,29 @@ def test_go4plus_2_closure_equals_exhaustive_filter() -> None:
     assert set(keep) == _elements(group)
 
 
-def test_su4_2_matches_s4_3_spectrum() -> None:
+def test_su4_2_matches_s4_3_spectrum(monkeypatch) -> None:
     group = oracle.close_group(oracle.standard_generators("SU", 4, 2))
     assert len(group) == 25920
     centre = oracle.centre_of(group)
     assert len(centre) == 1
+    walked = _record_walks(monkeypatch)
     got = oracle.element_orders(group)
     want = spectra.spectrum(spectra.group_id("Sp", 2, 3))
     assert got.gens == want.gens
+    # SU4(2) has 20 classes (ATLAS)
+    assert len(walked) == 19
 
 
-def test_sp4_3_closure_centre_and_coset_orders() -> None:
+def test_sp4_3_closure_centre_and_coset_orders(monkeypatch) -> None:
     group = oracle.close_group(oracle.standard_generators("Sp", 4, 3))
     assert len(group) == 51840
     centre = oracle.centre_of(group)
     assert len(centre) == 2
+    walked = _record_walks(monkeypatch)
     got = oracle.element_orders(group, centre)
     assert got.gens == (5, 9, 12)
+    # Sp4(3) has 34 classes (ATLAS), two of them central
+    assert len(walked) == 32
 
 
 def test_close_group_cap() -> None:
@@ -560,27 +568,105 @@ def test_element_orders_match_brute_force_walk() -> None:
     assert oracle.element_orders(group, ident) == oracle.element_orders(group)
 
 
-def test_element_orders_walks_cover_the_group(monkeypatch) -> None:
-    """Every element outside the centre is a central translate of a power
-    some walk passed: an element struck otherwise could hide an order that
-    no spectrum comparison would notice."""
-    walks = []
+def _record_walks(monkeypatch) -> list:
+    """Patch _central_power_walk to append each walked key to the list it
+    returns."""
+    walked = []
     walk = oracle._central_power_walk
 
-    def recording_walk(*args):
-        walks.append(walk(*args))
-        return walks[-1]
+    def recording_walk(eng, key, *args):
+        walked.append(key)
+        return walk(eng, key, *args)
 
     monkeypatch.setattr(oracle, "_central_power_walk", recording_walk)
+    return walked
+
+
+def test_element_orders_walk_one_element_per_conjugacy_class(monkeypatch) -> None:
+    """The classes of the walked elements, found here by MatrixGF products
+    s^-1 X s over the generators, are disjoint, miss the centre and with it
+    make up the group: an element struck otherwise could hide an order that
+    no spectrum comparison would notice."""
+    walked = _record_walks(monkeypatch)
     sp4_2 = oracle.close_group(oracle.standard_generators("Sp", 4, 2))
-    for group in (_sl2(9), sp4_2):
-        walks.clear()
+    go4_2 = oracle.close_group(oracle.standard_generators("GOplus", 4, 2))
+    for group in (_sl2(9), sp4_2, go4_2):
+        walked.clear()
         centre = oracle.centre_of(group)
         oracle.element_orders(group, centre)
         eng = group.engine
-        shifts = [eng.tables(eng.encode(z.rows)) for z in centre]
-        covered = {eng.mul(p, t) for powers in walks for p in powers for t in shifts}
-        assert covered == group.key_set - {eng.encode(z.rows) for z in centre}
+        pairs = [(s.inverse(), s) for s in group.generators]
+        covered: set[int] = set()
+        for rep in walked:
+            cls = [oracle.MatrixGF(group.field, eng.decode(rep))]
+            for x in cls:
+                for inv, s in pairs:
+                    if (y := inv * x * s) not in cls:
+                        cls.append(y)
+            keys = {eng.encode(x.rows) for x in cls}
+            assert not keys & covered, group.field
+            covered |= keys
+        centre_keys = {eng.encode(z.rows) for z in centre}
+        assert not covered & centre_keys, group.field
+        assert covered | centre_keys == group.key_set, group.field
+
+
+def test_element_orders_walk_count_is_classes_outside_the_centre(monkeypatch) -> None:
+    """One walk per conjugacy class outside the centre, k(G) - |Z|, with the
+    class numbers of the ATLAS of Finite Groups (Conway et al., 1985):
+    Sp4(2) = S6 has 11 classes, GO4+(2) 9, and SL2(q) for odd q has q + 4.
+    Sp4(3) and SU4(2) are pinned where their spectra are checked."""
+    walked = _record_walks(monkeypatch)
+    sp4_2 = oracle.close_group(oracle.standard_generators("Sp", 4, 2))
+    go4_2 = oracle.close_group(oracle.standard_generators("GOplus", 4, 2))
+    for group, walks in ((sp4_2, 10), (go4_2, 8), (_sl2(5), 7), (_sl2(9), 11)):
+        walked.clear()
+        oracle.element_orders(group, oracle.centre_of(group))
+        assert len(walked) == walks, group.field
+
+
+def test_conjugation_tables_match_matrix_products() -> None:
+    """One product on the dim^2 engine is s^-1 X s as MatrixGF computes it,
+    for 200 seeded words X in the pair generators of Sp4(3), SU4(2) and
+    Sp6(2) and in the generators of SL2(9), and every generator s."""
+    rng = random.Random(67)
+    for gens in (
+        oracle._generating_pair("Sp", 4, 3),
+        oracle._generating_pair("SU", 4, 2),
+        oracle._generating_pair("Sp", 6, 2),
+        _sl2(9).generators,
+    ):
+        fld, dim = gens[0].field, gens[0].dim
+        eng, big = oracle._engine(fld, dim), oracle._engine(fld, dim * dim)
+        conj = [
+            (s.inverse(), s, oracle._conjugation_tables(fld, dim, s)) for s in gens
+        ]
+        for _ in range(200):
+            word = [rng.choice(gens) for _ in range(rng.randint(1, 12))]
+            x = reduce(operator.mul, word)
+            for inv, s, tabs in conj:
+                got = big.mul(eng.encode(x.rows), tabs)
+                assert got == eng.encode((inv * x * s).rows), fld
+
+
+def test_sample_orders_builds_the_centre_tables_once(monkeypatch) -> None:
+    """The giant steps' translates reuse one table set of -I for all 1000
+    words of Sp6(3), of which 251 reach the giant phase."""
+    gens = oracle.standard_generators("Sp", 6, 3)
+    centre = oracle.central_scalars("Sp", 6, 3)
+    eng = oracle._engine(gens[0].field, 6)
+    minus = next(eng.encode(z.rows) for z in centre if z.rows[0][0] != 1)
+    built = []
+    tables = oracle._Engine.tables
+
+    def counting_tables(self, key):
+        if key == minus:
+            built.append(key)
+        return tables(self, key)
+
+    monkeypatch.setattr(oracle._Engine, "tables", counting_tables)
+    oracle.sample_orders(gens, 1000, seed=12345, centre=centre)
+    assert len(built) == 1
 
 
 def test_power_walk_stops_at_the_bound() -> None:
@@ -711,10 +797,13 @@ def test_engine_is_shared_and_unchanged_by_use() -> None:
 def test_engine_matches_matrix_reference() -> None:
     """The packed engine, directly and behind MatrixGF's product, against
     the entry-by-entry product: encode/decode round-trip and products, over
-    fields of both characteristics with one or several digits per entry, in
-    dimensions 1 to 6."""
+    fields of both characteristics with one or several digits per entry and
+    one to eight digit fields per slice, in dimensions 1 to 6."""
     rng = random.Random(53)
-    qs = (2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 64, 81, 243, 1024, 2187, 4096)
+    qs = (
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27, 49, 64, 81, 121, 169, 243, 1024,
+        2187, 4096,
+    )
     for q in qs:
         fld = oracle.field_of_order(q)
         for dim in range(1, 7):
@@ -733,6 +822,17 @@ def test_engine_matches_matrix_reference() -> None:
                 want = _product(a, b)
                 assert eng.decode(product) == want.rows, (q, dim)
                 assert a * b == want, (q, dim)
+
+
+def test_slice_widths_follow_the_table_rule() -> None:
+    """A slice takes the most digit fields whose table has at most 256
+    entries and whose index is at most 12 bits wide."""
+    want = {2: 8, 3: 4, 5: 3, 7: 2, 11: 2, 13: 2, 17: 1, 257: 1}
+    for p, width in want.items():
+        eng = oracle._Engine(oracle.field_of_order(p), 8)
+        widths = [end - first for first, end, *_ in eng.slices]
+        assert widths[0] == width, p
+        assert sum(widths) == 8 and max(widths) == width, p
 
 
 def test_sl2_over_fields_with_several_digits() -> None:
@@ -871,7 +971,7 @@ def test_enumerate_group_without_a_pair_is_a_resource_error() -> None:
 
 def _seeded_word_keys(family: str, dim: int, q: int, count: int, seed: int):
     """The engine, `count` seeded random words in the standard generators
-    as keys, and the centre's keys."""
+    as keys, the centre's keys and the tables of its non-identity keys."""
     gens = oracle.standard_generators(family, dim, q)
     eng = oracle._engine(gens[0].field, dim)
     tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
@@ -883,7 +983,7 @@ def _seeded_word_keys(family: str, dim: int, q: int, count: int, seed: int):
             key = eng.mul(key, rng.choice(tabs))
         keys.append(key)
     centre = oracle.central_scalars(family, dim, q)
-    return eng, keys, {eng.encode(z.rows) for z in centre}
+    return (eng, keys, *oracle._validated_centre(eng, gens, centre))
 
 
 @pytest.mark.parametrize("baby_steps", [2, 5, 16])
@@ -895,10 +995,10 @@ def test_central_order_agrees_with_the_power_walk(monkeypatch, baby_steps) -> No
     for family, dim, q in (
         ("Sp", 4, 3), ("Sp", 6, 3), ("Sp", 4, 4), ("SU", 4, 8), ("GOplus", 4, 2)
     ):
-        eng, keys, centre = _seeded_word_keys(family, dim, q, 120, seed=21)
+        eng, keys, centre, shifts = _seeded_word_keys(family, dim, q, 120, seed=21)
         for key in keys:
             walk = len(oracle._central_power_walk(eng, key, centre, 10**6)) + 1
-            got = oracle._central_order(eng, key, centre, 10**6)
+            got = oracle._central_order(eng, key, centre, shifts, 10**6)
             assert got == walk, (family, dim, q, baby_steps)
 
 
@@ -914,19 +1014,22 @@ def test_central_order_on_both_sides_of_the_baby_steps() -> None:
     assert oracle._BABY_STEPS == 16
     for k in (15, 16, 17, 32, 33):
         eng, key = _cycle_key(k)
-        assert oracle._central_order(eng, key, {eng.identity}, 10**6) == k, k
+        assert oracle._central_order(eng, key, {eng.identity}, [], 10**6) == k, k
     eng, _ = _cycle_key(17)
-    assert oracle._central_order(eng, eng.identity, {eng.identity}, 10**6) == 1
+    assert oracle._central_order(eng, eng.identity, {eng.identity}, [], 10**6) == 1
     # -I is central in Sp4(3): order 1 modulo the centre
-    eng, _, centre = _seeded_word_keys("Sp", 4, 3, 1, seed=0)
+    eng, _, centre, shifts = _seeded_word_keys("Sp", 4, 3, 1, seed=0)
     for z in centre:
-        assert oracle._central_order(eng, z, centre, 10**6) == 1
+        assert oracle._central_order(eng, z, centre, shifts, 10**6) == 1
     # diag(2, 1/2) over GF(37), where 2 has order 36: its order modulo
     # +-I is 18, and g^32 = -g^14 is found only among the translates
     eng = oracle._Engine(oracle.field_of_order(37), 2)
-    centre = {eng.identity, eng.encode(((36, 0), (0, 36)))}
+    minus = eng.encode(((36, 0), (0, 36)))
     key = eng.encode(((2, 0), (0, 19)))
-    assert oracle._central_order(eng, key, centre, 10**6) == 18
+    got = oracle._central_order(
+        eng, key, {eng.identity, minus}, [eng.tables(minus)], 10**6
+    )
+    assert got == 18
 
 
 @pytest.mark.parametrize("k", [5, 16, 17, 32, 33, 34])
@@ -935,9 +1038,9 @@ def test_central_order_stops_at_the_bound(k) -> None:
     in the baby phase (k <= 17), past the last giant step (33) and at a
     giant step that lands beyond the bound (32, 34)."""
     eng, key = _cycle_key(k)
-    assert oracle._central_order(eng, key, {eng.identity}, k) == k
+    assert oracle._central_order(eng, key, {eng.identity}, [], k) == k
     with pytest.raises(ResourceError, match=f"exceeds {k - 1}"):
-        oracle._central_order(eng, key, {eng.identity}, k - 1)
+        oracle._central_order(eng, key, {eng.identity}, [], k - 1)
 
 
 def test_sample_orders_pinned_past_the_baby_steps() -> None:
