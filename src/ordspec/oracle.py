@@ -17,12 +17,13 @@ or one inside closure, centre, element orders, sampling and the order of
 the twisted element, runs on one engine per field and dimension, in which
 a whole matrix is one int holding the base-p digits of its entries, a row
 is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
-p), and a product is a few table lookups per row.  Enumeration reads each
-class's order off one power walk, g, g^2, ... up to the first central
-power, and strikes the class by conjugating with the generators, each
-conjugation one product on the engine for dim^2 x dim^2 matrices; sampling
-and the twisted element find an order n by baby steps and giant steps, in
-about 16 + n/16 products.
+p), and a product is a few table lookups per row.  The closure numbers its
+elements in breadth-first order and records where each one goes under right
+multiplication by each generator.  Enumeration reads each class's order off
+one power walk, g, g^2, ... up to the first central power, and strikes the
+class by conjugating with the generators, each conjugation a lookup in
+those tables with no product; sampling and the twisted element find an
+order n by baby steps and giant steps, in about 16 + n/16 products.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ import math
 import operator
 import os
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import islice, repeat
 
 from . import arith, spectra
 from .errors import DomainError, ResourceError, UsageError
@@ -444,17 +446,29 @@ class _Engine:
 
 @dataclass(eq=False)
 class ClosedGroup:
-    """The multiplicative closure of a generator list: the set of its
-    elements' packed integer keys, and the engine that packs them."""
+    """The multiplicative closure of a generator list, its elements numbered
+    by place, their position in breadth-first order (the identity at 0).
+    `index` maps each element's packed integer key to its place, and
+    `right[j][i]` is the place of key_i * g_j for generator g_j.  The
+    breadth-first tree gives key_i = key_parent[i] * g_via[i], with
+    parent[i] < i (both -1 at the identity)."""
 
     field: Field
     dim: int
     engine: _Engine
-    key_set: set
     generators: list
+    index: dict
+    right: list
+    parent: array
+    via: array
+
+    @property
+    def key_set(self):
+        """The elements' keys, as a set-like view."""
+        return self.index.keys()
 
     def __len__(self) -> int:
-        return len(self.key_set)
+        return len(self.index)
 
 
 def _matrix_ring(generators) -> tuple[list, Field, int]:
@@ -468,7 +482,9 @@ def _matrix_ring(generators) -> tuple[list, Field, int]:
 
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
-    """Breadth-first closure of the generated group.
+    """Breadth-first closure of the generated group: one engine product per
+    element and generator, whose place is written to the right-multiplication
+    table, and for each new element the place and generator it came from.
 
     Raises ResourceError as soon as more than `cap` elements are seen.
     """
@@ -478,21 +494,32 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
     eng = _engine(fld, dim)
-    tabs = [eng.tables(eng.encode(g.rows)) for g in gens]
+    mul = eng.mul
+    right = [array("i") for _ in gens]
+    steps = [
+        (j, eng.tables(eng.encode(g.rows)), row.append)
+        for j, (g, row) in enumerate(zip(gens, right))
+    ]
     queue = [eng.identity]
-    key_set = {eng.identity}
+    index = {eng.identity: 0}
+    parent, via = array("i", [-1]), array("i", [-1])
     # the loop also visits the keys appended to the queue while it runs
-    for key in queue:
-        for tab in tabs:
-            k = eng.mul(key, tab)
-            if k not in key_set:
-                if len(key_set) >= cap:
+    for i, key in enumerate(queue):
+        for j, tab, record in steps:
+            k = mul(key, tab)
+            place = index.get(k)
+            if place is None:
+                place = len(queue)
+                if place >= cap:
                     raise ResourceError(
                         f"closure exceeded the cap of {cap} elements"
                     )
-                key_set.add(k)
+                index[k] = place
                 queue.append(k)
-    return ClosedGroup(fld, dim, eng, key_set, gens)
+                parent.append(i)
+                via.append(j)
+            record(place)
+    return ClosedGroup(fld, dim, eng, gens, index, right, parent, via)
 
 
 def _commutant_basis(generators) -> list[list[int]]:
@@ -634,21 +661,20 @@ def _central_order(eng, key: int, centre_keys, shifts, bound: int) -> int:
     raise ResourceError(f"element order exceeds {bound}")
 
 
-def _conjugation_tables(fld: Field, dim: int, s: MatrixGF) -> list:
-    """Tables that turn the key of X into the key of s^-1 X s under
-    _engine(fld, dim * dim).mul.  The key of a dim x dim matrix reads there
-    as row 0 of a (dim^2) x (dim^2) one, and conjugation is GF(p)-linear in
-    X's entries: X[i][j] contributes s^-1[r][i] X[i][j] s[j][c] to entry
-    (r, c), so row (i, j) of the map's matrix holds s^-1[r][i] s[j][c] at
-    column (r, c).  Only row 0's places are kept."""
-    inv, rows = s.inverse().rows, s.rows
-    big = _engine(fld, dim * dim)
-    cells = [(r, c) for r in range(dim) for c in range(dim)]
-    matrix = [
-        [fld.mul(inv[r][i], rows[j][c]) for r, c in cells] for i, j in cells
-    ]
-    tables = big.tables(big.encode(matrix))
-    return [(tab, mask, places[:1]) for tab, mask, places in tables]
+def _conjugation_places(group: ClosedGroup, j: int) -> array:
+    """Where conjugation by s = generator j takes each place: entry i is the
+    place of s^-1 x_i s, read off the closure's tables with no product.
+    Left multiplication by s^-1 is filled in breadth-first order: it takes
+    the identity to the place of s^-1, and x_i to right[via[i]] of where it
+    took x_parent[i], since s^-1 x_i = (s^-1 x_parent[i]) g_via[i].  Then
+    s^-1 x_i s is at right[j] of that place."""
+    eng, right = group.engine, group.right
+    inverse = group.index[eng.encode(group.generators[j].inverse().rows)]
+    left = array("i", [inverse])
+    append = left.append
+    for par, g in zip(islice(group.parent, 1, None), islice(group.via, 1, None)):
+        append(right[g][left[par]])
+    return array("i", map(right[j].__getitem__, left))
 
 
 def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
@@ -656,33 +682,38 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     list.  With centre None this is the plain order spectrum.
 
     The order modulo the centre is a class function, so one representative
-    per conjugacy class is walked: take an element g still to do, step
-    through g, g^2, ... until g^n lies in the centre, record n, and strike
-    g's whole class, found by conjugating by the generators until nothing
-    new appears.  A class outside the centre never meets it, so k(G) - |Z|
-    walks cover the group, each conjugation one product on the engine for
-    dim^2 x dim^2 matrices."""
-    eng = group.engine
+    per conjugacy class is walked: take the first element in breadth-first
+    order still to do, step through g, g^2, ... until g^n lies in the
+    centre, record n, and strike g's whole class, found by conjugating by
+    the generators until nothing new appears.  A class outside the centre
+    never meets it, so k(G) - |Z| walks cover the group.  The sweep runs on
+    places, with a done flag per place, and each conjugation is a lookup in
+    the table _conjugation_places reads off the closure, so the walks make
+    every engine product here."""
+    eng, index = group.engine, group.index
     centre_keys, _ = _validated_centre(eng, group.generators, centre)
     if not centre_keys <= group.key_set:
         raise DomainError("centre argument is not inside the group")
-    mul = _engine(group.field, group.dim * group.dim).mul
     conjugations = [
-        _conjugation_tables(group.field, group.dim, s) for s in group.generators
+        _conjugation_places(group, j) for j in range(len(group.generators))
     ]
-    todo = group.key_set - centre_keys
+    done = bytearray(len(group))
+    for z in centre_keys:
+        done[index[z]] = 1
     seen: set[int] = set()
-    while todo:
-        rep = todo.pop()
-        seen.add(len(_central_power_walk(eng, rep, centre_keys, len(group))) + 1)
+    for rep, key in enumerate(index):
+        if done[rep]:
+            continue
+        done[rep] = 1
+        seen.add(len(_central_power_walk(eng, key, centre_keys, len(group))) + 1)
         # the loop also visits the conjugates appended to the class
         cls = [rep]
-        for key in cls:
-            for tabs in conjugations:
-                conj = mul(key, tabs)
-                if conj in todo:
-                    todo.remove(conj)
-                    cls.append(conj)
+        for x in cls:
+            for conj in conjugations:
+                y = conj[x]
+                if not done[y]:
+                    done[y] = 1
+                    cls.append(y)
     if not seen:
         seen.add(1)
     return spectra.reduce_gens(seen, label=f"enumerated[{len(group)}]")

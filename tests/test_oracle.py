@@ -625,10 +625,11 @@ def test_element_orders_walk_count_is_classes_outside_the_centre(monkeypatch) ->
         assert len(walked) == walks, group.field
 
 
-def test_conjugation_tables_match_matrix_products() -> None:
-    """One product on the dim^2 engine is s^-1 X s as MatrixGF computes it,
-    for 200 seeded words X in the pair generators of Sp4(3), SU4(2) and
-    Sp6(2) and in the generators of SL2(9), and every generator s."""
+def test_conjugation_places_match_matrix_products() -> None:
+    """The place _conjugation_places gives a word X holds s^-1 X s as
+    MatrixGF computes it, for 200 seeded words X in the pair generators of
+    Sp4(3), SU4(2) and Sp6(2) and in the generators of SL2(9), and every
+    generator s."""
     rng = random.Random(67)
     for gens in (
         oracle._generating_pair("Sp", 4, 3),
@@ -636,17 +637,105 @@ def test_conjugation_tables_match_matrix_products() -> None:
         oracle._generating_pair("Sp", 6, 2),
         _sl2(9).generators,
     ):
-        fld, dim = gens[0].field, gens[0].dim
-        eng, big = oracle._engine(fld, dim), oracle._engine(fld, dim * dim)
+        group = oracle.close_group(gens)
+        eng, index = group.engine, group.index
         conj = [
-            (s.inverse(), s, oracle._conjugation_tables(fld, dim, s)) for s in gens
+            (s.inverse(), s, oracle._conjugation_places(group, j))
+            for j, s in enumerate(gens)
         ]
         for _ in range(200):
             word = [rng.choice(gens) for _ in range(rng.randint(1, 12))]
             x = reduce(operator.mul, word)
-            for inv, s, tabs in conj:
-                got = big.mul(eng.encode(x.rows), tabs)
-                assert got == eng.encode((inv * x * s).rows), fld
+            place = index[eng.encode(x.rows)]
+            for inv, s, places in conj:
+                got = places[place]
+                assert got == index[eng.encode((inv * x * s).rows)], group.field
+
+
+def test_closure_tables_are_products_on_a_breadth_first_tree() -> None:
+    """right[j][i] is the place of the engine product key_i * g_j, places
+    run 0, 1, ... in the order the keys were found, from the identity, and
+    each element is its parent's key times generator via, with the parent
+    placed earlier and parents in breadth-first order, on GO4+(2), Sp4(2),
+    SL2(9) and the Sp4(3) pair."""
+    for group in (
+        oracle.close_group(oracle.standard_generators("GOplus", 4, 2)),
+        oracle.close_group(oracle.standard_generators("Sp", 4, 2)),
+        _sl2(9),
+        oracle.close_group(oracle._generating_pair("Sp", 4, 3)),
+    ):
+        eng, index = group.engine, group.index
+        keys = list(index)
+        assert keys[0] == eng.identity
+        assert list(index.values()) == list(range(len(group)))
+        tabs = [eng.tables(eng.encode(g.rows)) for g in group.generators]
+        assert len(group.right) == len(tabs)
+        for row, tab in zip(group.right, tabs):
+            assert list(row) == [index[eng.mul(key, tab)] for key in keys]
+        parent, via = group.parent, group.via
+        assert len(parent) == len(via) == len(group)
+        assert (parent[0], via[0]) == (-1, -1)
+        assert list(parent[1:]) == sorted(parent[1:])
+        for i in range(1, len(group)):
+            assert 0 <= parent[i] < i
+            assert eng.mul(keys[parent[i]], tabs[via[i]]) == keys[i]
+
+
+def test_closure_records_generators_past_a_byte() -> None:
+    """`via` is not narrowed to a byte: behind 300 copies of the identity,
+    the generators of GO4+(2) make every element, with via 300 and up."""
+    gens = oracle.standard_generators("GOplus", 4, 2)
+    padded = [oracle.MatrixGF.identity(gens[0].field, 4)] * 300 + gens
+    group = oracle.close_group(padded)
+    assert group.key_set == oracle.close_group(gens).key_set
+    assert min(group.via[1:]) == 300
+    assert max(group.via) == 299 + len(gens)
+    assert all(list(row) == list(range(72)) for row in group.right[:300])
+
+
+def test_element_orders_multiplies_only_in_its_power_walks(monkeypatch) -> None:
+    """Conjugation is a lookup, so element_orders builds no engine for
+    dim^2 x dim^2 matrices, and its only _Engine.mul calls are the steps of
+    its power walks and the centre check of _validated_centre, on SL2(9)
+    and the Sp4(3) pair, with and without the centre."""
+    engines = []
+    engine = oracle._engine
+
+    def recording_engine(fld, dim):
+        engines.append(dim)
+        return engine(fld, dim)
+
+    muls = 0
+    mul = oracle._Engine.mul
+
+    def counting_mul(self, key, tables):
+        nonlocal muls
+        muls += 1
+        return mul(self, key, tables)
+
+    steps = []
+    walk = oracle._central_power_walk
+
+    def recording_walk(eng, key, *args):
+        powers = walk(eng, key, *args)
+        steps.append(len(powers))
+        return powers
+
+    sp4_3 = oracle.close_group(oracle._generating_pair("Sp", 4, 3))
+    monkeypatch.setattr(oracle, "_engine", recording_engine)
+    monkeypatch.setattr(oracle._Engine, "mul", counting_mul)
+    monkeypatch.setattr(oracle, "_central_power_walk", recording_walk)
+    for group, walks in ((_sl2(9), 11), (sp4_3, 32)):
+        for centre in (None, oracle.centre_of(group)):
+            muls = 0
+            oracle._validated_centre(group.engine, group.generators, centre)
+            checks, muls = muls, 0
+            engines.clear()
+            steps.clear()
+            oracle.element_orders(group, centre)
+            assert muls == checks + sum(steps) > 0, group.field
+            assert set(engines) <= {group.dim}, group.field
+            assert len(steps) == walks + (centre is None), group.field
 
 
 def test_sample_orders_builds_the_centre_tables_once(monkeypatch) -> None:
