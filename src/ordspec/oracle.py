@@ -4,26 +4,26 @@ Everything the closed-form side claims about spectra can be cross-checked
 here at small parameters: close a fixed pair of words in the standard
 generators under multiplication (breadth-first, with elements deduplicated
 by a packed integer key), check the closure against the group's order
-formula, compute the centre as the group's intersection with the
-generators' commutant algebra (a linear system over GF(q)), read off
-element orders modulo that centre by walking one element per conjugacy
-class, and compare against the formulas.  Sampling draws its random words
-from the full standard generator lists.
+formula, sweep its conjugacy classes once, read the centre off them as the
+elements alone in their class, read off element orders modulo that centre
+from one element per class, and compare against the formulas.  Sampling
+draws its random words from the full standard generator lists.
 
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
 operations are table lookups.  Every matrix product, whether MatrixGF's
-or one inside closure, centre, element orders, sampling and the order of
-the twisted element, runs on one engine per field and dimension, in which
+or one inside closure, element orders, sampling and the order of the
+twisted element, runs on one engine per field and dimension, in which
 a whole matrix is one int holding the base-p digits of its entries, a row
 is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
 p), and a product is a few table lookups per row.  The closure numbers its
 elements in breadth-first order and records where each one goes under right
-multiplication by each generator.  Enumeration reads each class's order off
-one power walk, g, g^2, ... up to the first central power, and strikes the
-class by conjugating with the generators, each conjugation a lookup in
-those tables with no product; sampling and the twisted element find an
-order n by baby steps and giant steps, in about 16 + n/16 products.
+multiplication by each generator.  The class sweep strikes each class by
+conjugating with the generators, each conjugation a lookup in those tables
+with no product.  Every order, in enumeration, sampling and the twisted
+element, is found by one routine: baby steps g, g^2, ... up to the first
+central power, then giant steps past them, in about 16 + n/16 products for
+an order n.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import islice, repeat
 
 from . import arith, spectra
@@ -451,7 +451,8 @@ class ClosedGroup:
     `index` maps each element's packed integer key to its place, and
     `right[j][i]` is the place of key_i * g_j for generator g_j.  The
     breadth-first tree gives key_i = key_parent[i] * g_via[i], with
-    parent[i] < i (both -1 at the identity)."""
+    parent[i] < i (both -1 at the identity).  `classes` holds the
+    conjugacy classes, swept on first use."""
 
     field: Field
     dim: int
@@ -469,6 +470,35 @@ class ClosedGroup:
 
     def __len__(self) -> int:
         return len(self.index)
+
+    @cached_property
+    def classes(self) -> list[tuple[int, int]]:
+        """The conjugacy classes, each as (key, size) with key its first
+        element in breadth-first order, in the order of those keys (the
+        identity's class first).  Each class is struck from the first place
+        still to do by conjugating with the generators until nothing new
+        appears.  The sweep runs on places, with a done flag per place, and
+        each conjugation is a lookup in a table of _conjugation_places,
+        built for the sweep and dropped when it ends."""
+        conjugations = [
+            _conjugation_places(self, j) for j in range(len(self.generators))
+        ]
+        done = bytearray(len(self))
+        out = []
+        for rep, key in enumerate(self.index):
+            if done[rep]:
+                continue
+            done[rep] = 1
+            # the loop also visits the conjugates appended to the class
+            cls = [rep]
+            for x in cls:
+                for conj in conjugations:
+                    y = conj[x]
+                    if not done[y]:
+                        done[y] = 1
+                        cls.append(y)
+            out.append((key, len(cls)))
+        return out
 
 
 def _matrix_ring(generators) -> tuple[list, Field, int]:
@@ -522,64 +552,12 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
     return ClosedGroup(fld, dim, eng, gens, index, right, parent, via)
 
 
-def _commutant_basis(generators) -> list[list[int]]:
-    """A basis of the matrices X with XA = AX for every generator A, each
-    as a row-major vector of length dim^2: the nullspace of the dim^2
-    linear equations (XA - AX)[i][j] = 0 per generator, read off the free
-    columns of their reduced echelon form."""
-    f, d = generators[0].field, generators[0].dim
-    n = d * d
-
-    def equations():
-        for g in generators:
-            a = g.rows
-            for i in range(d):
-                for j in range(d):
-                    # (XA - AX)[i][j] = sum_k X[i][k] A[k][j] - A[i][k] X[k][j]
-                    row = [0] * n
-                    for k in range(d):
-                        row[i * d + k] = f.add(row[i * d + k], a[k][j])
-                        row[k * d + j] = f.add(row[k * d + j], f.neg(a[i][k]))
-                    yield row
-
-    pivots, _ = _reduced_echelon(f, equations())
-    basis = []
-    for free in range(n):
-        if free not in pivots:
-            vec = [0] * n
-            vec[free] = 1
-            for col, prow in pivots.items():
-                vec[col] = f.neg(prow[free])
-            basis.append(vec)
-    return basis
-
-
 def centre_of(group: ClosedGroup) -> list[MatrixGF]:
-    """The centre of a closed group, computed (never assumed) as its
-    intersection with the commutant algebra of the generators.
-
-    The commutant is the solution space of XA = AX over all generators A,
-    found by linear algebra; its q^k members are enumerated and those in
-    the group's key set kept, in the order of their coordinates on the
-    basis.  For absolutely irreducible groups k = 1, so this touches q
-    matrices.  Raises ResourceError when q^k exceeds DEFAULT_CAP."""
-    f, d, eng = group.field, group.dim, group.engine
-    basis = _commutant_basis(group.generators)
-    size = f.q ** len(basis)
-    if size > DEFAULT_CAP:
-        raise ResourceError(
-            f"commutant has {size} elements, over the cap of {DEFAULT_CAP}"
-        )
-    out = []
-    for code in range(size):
-        vec = [0] * (d * d)
-        for c, b in zip(_digits(code, f.q, len(basis)), basis):
-            if c:
-                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, b)]
-        rows = tuple(tuple(vec[i * d : (i + 1) * d]) for i in range(d))
-        if eng.encode(rows) in group.key_set:
-            out.append(MatrixGF(f, rows))
-    return out
+    """The centre of a closed group, computed (never assumed) as the
+    elements alone in their conjugacy class, in breadth-first order, so
+    the identity first."""
+    f, decode = group.field, group.engine.decode
+    return [MatrixGF(f, decode(key)) for key, size in group.classes if size == 1]
 
 
 def _validated_centre(eng, generators, centre) -> tuple[set, list]:
@@ -607,29 +585,6 @@ def _validated_centre(eng, generators, centre) -> tuple[set, list]:
     return keys, [t for z, t in tabs.items() if z != eng.identity]
 
 
-def _central_power_walk(
-    eng, key: int, centre_keys, bound: int, partial: bool = False
-) -> list[int]:
-    """The powers g, g^2, ..., g^(n-1) of g = `key` that come before the
-    first power g^n in `centre_keys`, so n = len + 1 is the order of g
-    modulo the centre (an empty list when g itself is central).  When n
-    would exceed `bound` it raises ResourceError, or with `partial` returns
-    all of g, ..., g^bound, none of them central."""
-    powers = []
-    if key in centre_keys:
-        return powers
-    mul, tabs, acc = eng.mul, eng.tables(key), key
-    for _ in range(bound - 1):
-        powers.append(acc)
-        acc = mul(acc, tabs)
-        if acc in centre_keys:
-            return powers
-    if partial:
-        powers.append(acc)
-        return powers
-    raise ResourceError(f"element order exceeds {bound}")
-
-
 # Baby steps in _central_order: about this many products plus n / this many
 # per order n, against n for the whole power walk.
 _BABY_STEPS = 16
@@ -637,24 +592,31 @@ _BABY_STEPS = 16
 
 def _central_order(eng, key: int, centre_keys, shifts, bound: int) -> int:
     """The order n of g = `key` modulo the centre, by Shanks's baby steps
-    and giant steps.  The power walk takes the baby steps g, ..., g^B.  If
-    none is central, n > B, so each window ((i-1)B, iB] holds at most one
-    multiple of n: the giant steps g^(iB), i = 2, 3, ..., are looked up
-    among the central translates z g^j, 0 <= j < B, read off `shifts`, the
-    tables of the central elements other than the identity; the first hit
-    gives n = iB - j.  Raises ResourceError exactly when n > bound."""
+    and giant steps.  The baby steps walk g, g^2, ..., g^B and stop at the
+    first power in `centre_keys`.  If none is central, n > B, so each
+    window ((i-1)B, iB] holds at most one multiple of n: the giant steps
+    g^(iB), i = 2, 3, ..., are looked up among the central translates
+    z g^j, 0 <= j < B, read off `shifts`, the tables of the central
+    elements other than the identity; the first hit gives n = iB - j.
+    Raises ResourceError exactly when n > bound."""
+    if key in centre_keys:
+        return 1
     baby = min(bound, _BABY_STEPS)
-    powers = _central_power_walk(eng, key, centre_keys, baby, partial=bound > baby)
-    if bound <= baby or len(powers) < baby:
-        return len(powers) + 1
-    giant = powers.pop()
+    mul, tabs, acc, powers = eng.mul, eng.tables(key), key, []
+    for n in range(2, baby + 1):
+        powers.append(acc)
+        acc = mul(acc, tabs)
+        if acc in centre_keys:
+            return n
+    if bound <= baby:
+        raise ResourceError(f"element order exceeds {bound}")
     translates = dict.fromkeys(centre_keys, 0)
     for j, power in enumerate(powers, 1):
         translates[power] = j
-        translates.update((eng.mul(power, tabs), j) for tabs in shifts)
-    tabs, acc = eng.tables(giant), giant
+        translates.update((mul(power, tabs), j) for tabs in shifts)
+    tabs = eng.tables(acc)  # of g^B, the giant step
     for i in range(2, -(-bound // baby) + 1):
-        acc = eng.mul(acc, tabs)
+        acc = mul(acc, tabs)
         # a hit past the bound can only come at the last giant step
         if (j := translates.get(acc)) is not None and i * baby - j <= bound:
             return i * baby - j
@@ -682,38 +644,19 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     list.  With centre None this is the plain order spectrum.
 
     The order modulo the centre is a class function, so one representative
-    per conjugacy class is walked: take the first element in breadth-first
-    order still to do, step through g, g^2, ... until g^n lies in the
-    centre, record n, and strike g's whole class, found by conjugating by
-    the generators until nothing new appears.  A class outside the centre
-    never meets it, so k(G) - |Z| walks cover the group.  The sweep runs on
-    places, with a done flag per place, and each conjugation is a lookup in
-    the table _conjugation_places reads off the closure, so the walks make
-    every engine product here."""
-    eng, index = group.engine, group.index
-    centre_keys, _ = _validated_centre(eng, group.generators, centre)
+    per conjugacy class is asked: _central_order gives the order of each
+    class's first key.  A central element is a class of its own, so
+    k(G) - |Z| orders cover the group, and those orders make every engine
+    product here."""
+    eng = group.engine
+    centre_keys, shifts = _validated_centre(eng, group.generators, centre)
     if not centre_keys <= group.key_set:
         raise DomainError("centre argument is not inside the group")
-    conjugations = [
-        _conjugation_places(group, j) for j in range(len(group.generators))
-    ]
-    done = bytearray(len(group))
-    for z in centre_keys:
-        done[index[z]] = 1
-    seen: set[int] = set()
-    for rep, key in enumerate(index):
-        if done[rep]:
-            continue
-        done[rep] = 1
-        seen.add(len(_central_power_walk(eng, key, centre_keys, len(group))) + 1)
-        # the loop also visits the conjugates appended to the class
-        cls = [rep]
-        for x in cls:
-            for conj in conjugations:
-                y = conj[x]
-                if not done[y]:
-                    done[y] = 1
-                    cls.append(y)
+    seen = {
+        _central_order(eng, key, centre_keys, shifts, len(group))
+        for key, _ in group.classes
+        if key not in centre_keys
+    }
     if not seen:
         seen.add(1)
     return spectra.reduce_gens(seen, label=f"enumerated[{len(group)}]")

@@ -348,8 +348,11 @@ def test_sp4_3_closure_centre_and_coset_orders(monkeypatch) -> None:
 
 
 def test_close_group_cap() -> None:
+    gens = oracle.standard_generators("Sp", 4, 3)
     with pytest.raises(ResourceError):
-        oracle.close_group(oracle.standard_generators("Sp", 4, 3), cap=1000)
+        oracle.close_group(gens, cap=1000)
+    with pytest.raises(DomainError, match="cap must be positive"):
+        oracle.close_group(gens, cap=0)
 
 
 def test_twisted_element_order_eight_for_all_t() -> None:
@@ -435,6 +438,24 @@ def test_element_orders_refuses_a_centre_outside_the_group() -> None:
     scalars = [oracle.MatrixGF(fld, ((a, 0), (0, a))) for a in (1, w, fld.mul(w, w))]
     with pytest.raises(DomainError, match="centre argument is not inside the group"):
         oracle.element_orders(sl2_4, scalars)
+
+
+def test_element_orders_checks_its_centre_argument() -> None:
+    """An empty centre is refused, and so is {I, wI} as the centre of the
+    cyclic group <wI> over GF(4), since (wI)^2 = w^2 I is missing; a group
+    that is its own centre has the one order 1."""
+    fld = oracle.field_of_order(4)
+    w = fld.exp[1]
+    scalars = oracle.close_group([oracle.MatrixGF(fld, ((w, 0), (0, w)))])
+    assert len(scalars) == 3
+    with pytest.raises(DomainError, match="centre argument is empty"):
+        oracle.element_orders(scalars, [])
+    half = [oracle.MatrixGF.identity(fld, 2), oracle.MatrixGF(fld, ((w, 0), (0, w)))]
+    with pytest.raises(DomainError, match="not closed under product"):
+        oracle.element_orders(scalars, half)
+    centre = oracle.centre_of(scalars)
+    assert len(centre) == 3
+    assert oracle.element_orders(scalars, centre).gens == (1,)
 
 
 def test_central_scalars() -> None:
@@ -530,9 +551,9 @@ def _sl2(q: int) -> oracle.ClosedGroup:
 
 
 def _gl2_2_in_gl4_2() -> oracle.ClosedGroup:
-    """GL2(2) embedded block-diagonally as diag(M, I2): reducible, with a
-    five-dimensional commutant (scalars on the first block, anything on
-    the second)."""
+    """GL2(2) embedded block-diagonally as diag(M, I2): reducible, so many
+    non-scalar matrices commute with it (scalars on the first block,
+    anything on the second), yet its centre is trivial."""
     fld = oracle.field_of_order(2)
 
     def embed(m):
@@ -569,16 +590,16 @@ def test_element_orders_match_brute_force_walk() -> None:
 
 
 def _record_walks(monkeypatch) -> list:
-    """Patch _central_power_walk to append each walked key to the list it
-    returns."""
+    """Patch _central_order to append each key it is asked about to the
+    list it returns."""
     walked = []
-    walk = oracle._central_power_walk
+    order = oracle._central_order
 
-    def recording_walk(eng, key, *args):
+    def recording_order(eng, key, *args):
         walked.append(key)
-        return walk(eng, key, *args)
+        return order(eng, key, *args)
 
-    monkeypatch.setattr(oracle, "_central_power_walk", recording_walk)
+    monkeypatch.setattr(oracle, "_central_order", recording_order)
     return walked
 
 
@@ -696,8 +717,8 @@ def test_closure_records_generators_past_a_byte() -> None:
 def test_element_orders_multiplies_only_in_its_power_walks(monkeypatch) -> None:
     """Conjugation is a lookup, so element_orders builds no engine for
     dim^2 x dim^2 matrices, and its only _Engine.mul calls are the steps of
-    its power walks and the centre check of _validated_centre, on SL2(9)
-    and the Sp4(3) pair, with and without the centre."""
+    its _central_order calls and the centre check of _validated_centre, on
+    SL2(9) and the Sp4(3) pair, with and without the centre."""
     engines = []
     engine = oracle._engine
 
@@ -714,17 +735,18 @@ def test_element_orders_multiplies_only_in_its_power_walks(monkeypatch) -> None:
         return mul(self, key, tables)
 
     steps = []
-    walk = oracle._central_power_walk
+    order = oracle._central_order
 
-    def recording_walk(eng, key, *args):
-        powers = walk(eng, key, *args)
-        steps.append(len(powers))
-        return powers
+    def recording_order(eng, key, *args):
+        before = muls
+        n = order(eng, key, *args)
+        steps.append(muls - before)
+        return n
 
     sp4_3 = oracle.close_group(oracle._generating_pair("Sp", 4, 3))
     monkeypatch.setattr(oracle, "_engine", recording_engine)
     monkeypatch.setattr(oracle._Engine, "mul", counting_mul)
-    monkeypatch.setattr(oracle, "_central_power_walk", recording_walk)
+    monkeypatch.setattr(oracle, "_central_order", recording_order)
     for group, walks in ((_sl2(9), 11), (sp4_3, 32)):
         for centre in (None, oracle.centre_of(group)):
             muls = 0
@@ -736,6 +758,24 @@ def test_element_orders_multiplies_only_in_its_power_walks(monkeypatch) -> None:
             assert muls == checks + sum(steps) > 0, group.field
             assert set(engines) <= {group.dim}, group.field
             assert len(steps) == walks + (centre is None), group.field
+
+
+def test_enumerate_group_sweeps_the_classes_once(monkeypatch) -> None:
+    """centre_of and element_orders share one class sweep: an uncached
+    enumeration fills one conjugation table per generator of the pair."""
+    monkeypatch.delenv("ORDSPEC_CACHE_DIR", raising=False)
+    filled = []
+    places = oracle._conjugation_places
+
+    def recording_places(group, j):
+        filled.append(j)
+        return places(group, j)
+
+    monkeypatch.setattr(oracle, "_conjugation_places", recording_places)
+    for family, dim, q in (("GOplus", 4, 2), ("Sp", 4, 3)):
+        filled.clear()
+        oracle.enumerate_group(family, dim, q)
+        assert filled == [0, 1], family
 
 
 def test_sample_orders_builds_the_centre_tables_once(monkeypatch) -> None:
@@ -760,17 +800,17 @@ def test_sample_orders_builds_the_centre_tables_once(monkeypatch) -> None:
 
 def test_power_walk_stops_at_the_bound() -> None:
     # [[1, 1], [0, 1]] has order 5 over GF(5): order 5 is allowed by a
-    # bound of 5 and is an error under a bound of 4
+    # bound of 5 and is an error under a bound of 4; under a bound of 1
+    # only a central element has an order
     fld = oracle.field_of_order(5)
     eng = oracle._Engine(fld, 2)
     key = eng.encode(((1, 1), (0, 1)))
-    powers = oracle._central_power_walk(eng, key, {eng.identity}, 5)
-    assert [eng.decode(k) for k in powers] == [
-        ((1, j), (0, 1)) for j in range(1, 5)
-    ]
-    with pytest.raises(ResourceError):
-        oracle._central_power_walk(eng, key, {eng.identity}, 4)
-    assert oracle._central_power_walk(eng, eng.identity, {eng.identity}, 1) == []
+    assert oracle._central_order(eng, key, {eng.identity}, [], 5) == 5
+    with pytest.raises(ResourceError, match="exceeds 4"):
+        oracle._central_order(eng, key, {eng.identity}, [], 4)
+    assert oracle._central_order(eng, eng.identity, {eng.identity}, [], 1) == 1
+    with pytest.raises(ResourceError, match="exceeds 1"):
+        oracle._central_order(eng, key, {eng.identity}, [], 1)
 
 
 def test_centre_of_matches_brute_force_filter() -> None:
@@ -784,17 +824,12 @@ def test_centre_of_matches_brute_force_filter() -> None:
     assert oracle.centre_of(group) == centre
     group = _gl2_2_in_gl4_2()
     assert len(group) == 6
-    assert len(oracle._commutant_basis(group.generators)) == 5
     centre = oracle.centre_of(group)
     assert set(centre) == _brute_force_centre(group)
     assert centre == [oracle.MatrixGF.identity(group.field, 4)]
-
-
-def test_centre_of_caps_the_commutant(monkeypatch) -> None:
-    group = _gl2_2_in_gl4_2()
-    monkeypatch.setattr(oracle, "DEFAULT_CAP", 2**5 - 1)
-    with pytest.raises(ResourceError):
-        oracle.centre_of(group)
+    # GL2(2) = S3: the identity, then the class of the first generator,
+    # an involution, then the two elements of order 3
+    assert [size for _, size in group.classes] == [1, 3, 2]
 
 
 def test_enumerate_group_cache_write_is_atomic(tmp_path, monkeypatch) -> None:
@@ -973,6 +1008,8 @@ def test_enumerate_group_rejects_tampered_cache(tmp_path) -> None:
         ("spectrum", {**good["spectrum"], "gens": []}),
         # every generator divides 72, but no generator is divisible by 3
         ("spectrum", {**good["spectrum"], "gens": ["4"]}),
+        # the primes 2 and 3 of 72 are covered, but 16 does not divide 72
+        ("spectrum", {**good["spectrum"], "gens": ["6", "16"]}),
     )
     # consistent in itself (144 = 4 * 36 = 6 * 24) but not the order of
     # GO+(4, 2), so only the formula order exposes it
@@ -1075,6 +1112,15 @@ def _seeded_word_keys(family: str, dim: int, q: int, count: int, seed: int):
     return (eng, keys, *oracle._validated_centre(eng, gens, centre))
 
 
+def _walk_order(eng, key: int, centre) -> int:
+    """The order of g = `key` modulo the centre by the whole power walk:
+    one engine product per step until a power is central."""
+    tabs, acc, n = eng.tables(key), key, 1
+    while acc not in centre:
+        acc, n = eng.mul(acc, tabs), n + 1
+    return n
+
+
 @pytest.mark.parametrize("baby_steps", [2, 5, 16])
 def test_central_order_agrees_with_the_power_walk(monkeypatch, baby_steps) -> None:
     """Baby steps and giant steps give the order the full walk gives, also
@@ -1086,7 +1132,7 @@ def test_central_order_agrees_with_the_power_walk(monkeypatch, baby_steps) -> No
     ):
         eng, keys, centre, shifts = _seeded_word_keys(family, dim, q, 120, seed=21)
         for key in keys:
-            walk = len(oracle._central_power_walk(eng, key, centre, 10**6)) + 1
+            walk = _walk_order(eng, key, centre)
             got = oracle._central_order(eng, key, centre, shifts, 10**6)
             assert got == walk, (family, dim, q, baby_steps)
 

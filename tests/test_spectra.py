@@ -151,6 +151,10 @@ def test_spectrum_gens_validation() -> None:
         spectra.SpectrumGens("x", "full", (8, 4))
     with pytest.raises(DomainError):
         spectra.SpectrumGens("x", "3'", (5, 9))
+    with pytest.raises(DomainError, match="positive"):
+        spectra.SpectrumGens("x", "full", (0, 5))
+    with pytest.raises(DomainError, match="non-positive"):
+        spectra.contains(spectra.SpectrumGens("x", "full", (4, 6)), 0)
 
 
 def test_serialization_round_trip() -> None:

@@ -105,6 +105,18 @@ def test_adj_p_reports_failing_hypothesis() -> None:
     assert member.witness == (65,)
 
 
+def test_adj_p_assumed_only_without_a_full_form() -> None:
+    """O10+(3) has no full closed form, so its r p claim stays assumed and
+    is never promoted to pass; O8+(3) has one, so its claim is decided."""
+    for fam, n, k, rp, verdict in (
+        ("Dplus", 5, 8, 123, "assumed"), ("O8plus", 4, 6, 21, "pass"),
+    ):
+        report = verify.check_adjacency("adj_p", spectra.group_id(fam, n, 3), k)
+        (claim,) = [c for c in report.claims if c.statement.startswith(f"r p = {rp} ")]
+        assert claim.verdict == verdict, fam
+        assert report.passed, fam
+
+
 def test_adj_p_vacuous_at_zsigmondy_gap() -> None:
     group = spectra.group_id("O8minus", 4, 2)
     report = verify.check_adjacency("adj_p", group, 6)
