@@ -714,11 +714,25 @@ def test_closure_records_generators_past_a_byte() -> None:
     assert all(list(row) == list(range(72)) for row in group.right[:300])
 
 
+def _order_products(n: int, shifts: int) -> int:
+    """Engine products _central_order makes for an element of order n
+    modulo a centre with `shifts` elements other than the identity: n - 1
+    baby steps while n <= B = _BABY_STEPS; past B, all B - 1 baby steps,
+    one translate per shift of each of the B - 1 powers, and one giant
+    step per window of B after the first, up to the one holding n."""
+    baby = oracle._BABY_STEPS
+    if n <= baby:
+        return n - 1
+    return (baby - 1) * (1 + shifts) + -(-n // baby) - 1
+
+
 def test_element_orders_multiplies_only_in_its_power_walks(monkeypatch) -> None:
-    """Conjugation is a lookup, so element_orders builds no engine for
-    dim^2 x dim^2 matrices, and its only _Engine.mul calls are the steps of
-    its _central_order calls and the centre check of _validated_centre, on
-    SL2(9) and the Sp4(3) pair, with and without the centre."""
+    """Conjugation is a lookup, so the class sweep makes no _Engine.mul
+    call and builds no engine for dim^2 x dim^2 matrices, and the only
+    _Engine.mul calls of element_orders are the centre check of
+    _validated_centre and the steps each class's order takes in
+    _central_order, on SL2(9) and the Sp4(3) pair, with and without the
+    centre.  Sp4(3) has elements of order 18, past the baby steps."""
     engines = []
     engine = oracle._engine
 
@@ -734,30 +748,36 @@ def test_element_orders_multiplies_only_in_its_power_walks(monkeypatch) -> None:
         muls += 1
         return mul(self, key, tables)
 
-    steps = []
+    orders = []
     order = oracle._central_order
 
     def recording_order(eng, key, *args):
-        before = muls
         n = order(eng, key, *args)
-        steps.append(muls - before)
+        orders.append(n)
         return n
 
     sp4_3 = oracle.close_group(oracle._generating_pair("Sp", 4, 3))
     monkeypatch.setattr(oracle, "_engine", recording_engine)
     monkeypatch.setattr(oracle._Engine, "mul", counting_mul)
     monkeypatch.setattr(oracle, "_central_order", recording_order)
-    for group, walks in ((_sl2(9), 11), (sp4_3, 32)):
-        for centre in (None, oracle.centre_of(group)):
+    for group, walks, tops in ((_sl2(9), 11, (10, 5)), (sp4_3, 32, (18, 12))):
+        full_centre = oracle.centre_of(group)
+        for centre, top in zip((None, full_centre), tops):
+            shifts = len(centre) - 1 if centre else 0
+            group.__dict__.pop("classes")
             muls = 0
+            engines.clear()
+            assert len(group.classes) == walks + len(full_centre), group.field
+            assert muls == 0 and set(engines) <= {group.dim}, group.field
             oracle._validated_centre(group.engine, group.generators, centre)
             checks, muls = muls, 0
-            engines.clear()
-            steps.clear()
+            orders.clear()
             oracle.element_orders(group, centre)
-            assert muls == checks + sum(steps) > 0, group.field
             assert set(engines) <= {group.dim}, group.field
-            assert len(steps) == walks + (centre is None), group.field
+            assert len(orders) == walks + (centre is None), group.field
+            assert max(orders) == top, group.field
+            products = sum(_order_products(n, shifts) for n in orders)
+            assert muls == checks + products > 0, group.field
 
 
 def test_enumerate_group_sweeps_the_classes_once(monkeypatch) -> None:
