@@ -12,13 +12,17 @@ draws its random words from the full standard generator lists.
 Fields GF(p^m) are realized as integer codes 0..q-1 (base-p packed
 polynomial coefficients) with exp/log tables for multiplication, so field
 operations are table lookups.  Every matrix product, whether MatrixGF's
-or one inside closure, element orders, sampling and the order of the
-twisted element, runs on one engine per field and dimension, in which
-a whole matrix is one int holding the base-p digits of its entries, a row
-is added by XOR (p = 2) or a digit-wise add with one masked reduction (odd
-p), and a product is a few table lookups per row.  The closure numbers its
-elements in breadth-first order and records where each one goes under right
-multiplication by each generator.  The class sweep strikes each class by
+or one inside element orders, sampling and the order of the twisted
+element, runs on one engine per field and dimension, in which a whole
+matrix is one int holding the base-p digits of its entries, a row is added
+by XOR (p = 2) or a digit-wise add with one masked reduction (odd p), and a
+product is a few table lookups per row.  The closure makes no product of
+its own: it holds a matrix as its row indices in GF(q)^dim, a byte each
+while that space has at most 256 vectors, reads off one engine product per
+row vector where each generator takes each row, and multiplies a whole
+breadth-first level by a generator with one bytes.translate.  It numbers
+its elements in breadth-first order and records where each one goes under
+right multiplication by each generator.  The class sweep strikes each class by
 conjugating with the generators, each conjugation a lookup in those tables
 with no product.  Every order, in enumeration, sampling and the twisted
 element, is found by one routine: baby steps g, g^2, ... up to the first
@@ -33,13 +37,14 @@ import math
 import operator
 import os
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import islice, repeat
 
 from . import arith, spectra
-from .errors import DomainError, ResourceError, UsageError
+from .errors import DomainError, ResourceError, UnsupportedError, UsageError
 from .spectra import FULL, SpectrumGens
 
 DEFAULT_CAP = 2_000_000
@@ -444,14 +449,20 @@ class _Engine:
         return out
 
 
+_KEY_BYTES = array("Q").itemsize
+
+
 @dataclass(eq=False)
 class ClosedGroup:
     """The multiplicative closure of a generator list, its elements numbered
     by place, their position in breadth-first order (the identity at 0).
-    `index` maps each element's packed integer key to its place, and
-    `right[j][i]` is the place of key_i * g_j for generator g_j.  The
-    breadth-first tree gives key_i = key_parent[i] * g_via[i], with
-    parent[i] < i (both -1 at the identity).  `classes` holds the
+    An element's key holds its row indices v = sum_c code(x[r][c]) q^c in
+    GF(q)^dim, of type row_code, padded with zeros to eight bytes and read
+    as one array("Q") item; the zero row is 0, so right multiplication,
+    which takes each row to a row, keeps the padding zero.  `index` maps
+    each key to its place, and `right[j][i]` is the place of x_i * g_j for
+    generator g_j.  The breadth-first tree gives x_i = x_parent[i] * g_via[i],
+    with parent[i] < i (both -1 at the identity).  `classes` holds the
     conjugacy classes, swept on first use."""
 
     field: Field
@@ -463,13 +474,27 @@ class ClosedGroup:
     parent: array
     via: array
 
-    @property
-    def key_set(self):
-        """The elements' keys, as a set-like view."""
-        return self.index.keys()
-
     def __len__(self) -> int:
         return len(self.index)
+
+    @property
+    def row_code(self) -> str:
+        """The array type code of one row index: "B" (a byte) while
+        GF(q)^dim has at most 256 vectors, else "H"."""
+        return "B" if self.field.q**self.dim <= 256 else "H"
+
+    def key(self, rows) -> int:
+        """The closure key of the matrix with these rows."""
+        q = self.field.q
+        data = array(self.row_code, (
+            sum(c * q**i for i, c in enumerate(row)) for row in rows
+        )).tobytes()
+        return int.from_bytes(data.ljust(_KEY_BYTES, b"\0"), sys.byteorder)
+
+    def rows(self, key: int) -> tuple:
+        """The rows of the matrix with this closure key."""
+        data = array(self.row_code, key.to_bytes(_KEY_BYTES, sys.byteorder))
+        return tuple(_digits(v, self.field.q, self.dim) for v in data[: self.dim])
 
     @cached_property
     def classes(self) -> list[tuple[int, int]]:
@@ -511,53 +536,92 @@ def _matrix_ring(generators) -> tuple[list, Field, int]:
     return gens, fld, dim
 
 
-def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
-    """Breadth-first closure of the generated group: one engine product per
-    element and generator, whose place is written to the right-multiplication
-    table, and for each new element the place and generator it came from.
+def _row_tables(group: ClosedGroup) -> list:
+    """Per generator g, the table v -> index of v g over the row indices v
+    of GF(q)^dim: for byte rows a 256-byte bytes.translate table, else an
+    array.  A key with one row v is v itself, so the engine key of each
+    one-row matrix maps to v, and each entry is one engine product."""
+    eng, code = group.engine, group.row_code
+    one_rows = {
+        eng.encode(group.rows(v)): v for v in range(group.field.q**group.dim)
+    }
+    out = []
+    for g in group.generators:
+        tabs = eng.tables(eng.encode(g.rows))
+        table = array(code, (one_rows[eng.mul(v, tabs)] for v in one_rows))
+        out.append(table.tobytes().ljust(256, b"\0") if code == "B" else table)
+    return out
 
-    Raises ResourceError as soon as more than `cap` elements are seen.
+
+def close_group(generators, cap: int = DEFAULT_CAP) -> ClosedGroup:
+    """Breadth-first closure of the generated group, one level at a time:
+    the level's products with a generator are one bytes.translate of its
+    keys through the generator's _row_tables entry for byte rows, else one
+    lookup per row.  Each product's place is written to the
+    right-multiplication table, and for each new element the place and
+    generator it came from.
+
+    Raises UnsupportedError when a key would not fit in eight bytes (past
+    256 row vectors in a dimension above 4, or past 65536), and
+    ResourceError as soon as more than `cap` elements are seen.
     """
     gens, fld, dim = _matrix_ring(generators)
+    vectors = fld.q**dim
+    if vectors > 1 << 16 or (vectors > 256 and 2 * dim > _KEY_BYTES):
+        raise UnsupportedError(
+            f"closure keys hold {_KEY_BYTES} bytes, a row index 1 byte up to "
+            f"256 row vectors and 2 up to 65536; {fld}^{dim} has {vectors}"
+        )
     for g in gens:
         g.inverse()  # raises on singular input
     if cap < 1:
         raise DomainError(f"cap must be positive, got {cap}")
     eng = _engine(fld, dim)
-    mul = eng.mul
     right = [array("i") for _ in gens]
-    steps = [
-        (j, eng.tables(eng.encode(g.rows)), row.append)
-        for j, (g, row) in enumerate(zip(gens, right))
-    ]
-    queue = [eng.identity]
-    index = {eng.identity: 0}
-    parent, via = array("i", [-1]), array("i", [-1])
-    # the loop also visits the keys appended to the queue while it runs
-    for i, key in enumerate(queue):
-        for j, tab, record in steps:
-            k = mul(key, tab)
-            place = index.get(k)
-            if place is None:
-                place = len(queue)
-                if place >= cap:
-                    raise ResourceError(
-                        f"closure exceeded the cap of {cap} elements"
-                    )
-                index[k] = place
-                queue.append(k)
-                parent.append(i)
-                via.append(j)
-            record(place)
-    return ClosedGroup(fld, dim, eng, gens, index, right, parent, via)
+    group = ClosedGroup(
+        fld, dim, eng, gens, {}, right, array("i", [-1]), array("i", [-1])
+    )
+    index, parent, via, code = group.index, group.parent, group.via, group.row_code
+    translations = _row_tables(group)
+    records = [row.append for row in right]
+    level = array("Q", [group.key(eng.decode(eng.identity))])
+    index[level[0]] = 0
+    start = 0
+    while level:
+        data = level.tobytes()
+        if code == "B":
+            columns = [array("Q", data.translate(t)) for t in translations]
+        else:
+            rows = array(code, data)
+            columns = [
+                array("Q", array(code, map(t.__getitem__, rows)).tobytes())
+                for t in translations
+            ]
+        level = array("Q")
+        for i, keys in enumerate(zip(*columns), start):
+            for j, k in enumerate(keys):
+                place = index.get(k)
+                if place is None:
+                    place = len(index)
+                    if place >= cap:
+                        raise ResourceError(
+                            f"closure exceeded the cap of {cap} elements"
+                        )
+                    index[k] = place
+                    level.append(k)
+                    parent.append(i)
+                    via.append(j)
+                records[j](place)
+        start += len(columns[0])
+    return group
 
 
 def centre_of(group: ClosedGroup) -> list[MatrixGF]:
     """The centre of a closed group, computed (never assumed) as the
     elements alone in their conjugacy class, in breadth-first order, so
     the identity first."""
-    f, decode = group.field, group.engine.decode
-    return [MatrixGF(f, decode(key)) for key, size in group.classes if size == 1]
+    f = group.field
+    return [MatrixGF(f, group.rows(key)) for key, size in group.classes if size == 1]
 
 
 def _validated_centre(eng, generators, centre) -> tuple[set, list]:
@@ -630,8 +694,8 @@ def _conjugation_places(group: ClosedGroup, j: int) -> array:
     the identity to the place of s^-1, and x_i to right[via[i]] of where it
     took x_parent[i], since s^-1 x_i = (s^-1 x_parent[i]) g_via[i].  Then
     s^-1 x_i s is at right[j] of that place."""
-    eng, right = group.engine, group.right
-    inverse = group.index[eng.encode(group.generators[j].inverse().rows)]
+    right = group.right
+    inverse = group.index[group.key(group.generators[j].inverse().rows)]
     left = array("i", [inverse])
     append = left.append
     for par, g in zip(islice(group.parent, 1, None), islice(group.via, 1, None)):
@@ -650,11 +714,12 @@ def element_orders(group: ClosedGroup, centre=None) -> SpectrumGens:
     product here."""
     eng = group.engine
     centre_keys, shifts = _validated_centre(eng, group.generators, centre)
-    if not centre_keys <= group.key_set:
+    if any(group.key(eng.decode(z)) not in group.index for z in centre_keys):
         raise DomainError("centre argument is not inside the group")
+    reps = (eng.encode(group.rows(key)) for key, _ in group.classes)
     seen = {
         _central_order(eng, key, centre_keys, shifts, len(group))
-        for key, _ in group.classes
+        for key in reps
         if key not in centre_keys
     }
     if not seen:

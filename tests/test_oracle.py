@@ -26,7 +26,7 @@ from functools import reduce
 import pytest
 
 from ordspec import oracle, primegraph, spectra
-from ordspec.errors import DomainError, ResourceError, UsageError
+from ordspec.errors import DomainError, ResourceError, UnsupportedError, UsageError
 
 
 def _field_elements(fld: oracle.Field) -> range:
@@ -353,6 +353,12 @@ def test_close_group_cap() -> None:
         oracle.close_group(gens, cap=1000)
     with pytest.raises(DomainError, match="cap must be positive"):
         oracle.close_group(gens, cap=0)
+    # the cap counts elements, however the breadth-first levels fall:
+    # GO4+(2), with 72, closes under a cap of 72 and not under 71
+    gens = oracle._generating_pair("GOplus", 4, 2)
+    assert len(oracle.close_group(gens, cap=72)) == 72
+    with pytest.raises(ResourceError, match="cap of 71"):
+        oracle.close_group(gens, cap=71)
 
 
 def test_twisted_element_order_eight_for_all_t() -> None:
@@ -511,11 +517,8 @@ def test_centre_of_go4plus_trivial() -> None:
 
 
 def _elements(group) -> set[oracle.MatrixGF]:
-    """The closed group's elements as matrices, decoded from its keys."""
-    return {
-        oracle.MatrixGF(group.field, group.engine.decode(key))
-        for key in group.key_set
-    }
+    """The closed group's elements as matrices, read off its keys."""
+    return {oracle.MatrixGF(group.field, group.rows(key)) for key in group.index}
 
 
 def _brute_force_orders(group, centre) -> set[int]:
@@ -629,7 +632,8 @@ def test_element_orders_walk_one_element_per_conjugacy_class(monkeypatch) -> Non
             covered |= keys
         centre_keys = {eng.encode(z.rows) for z in centre}
         assert not covered & centre_keys, group.field
-        assert covered | centre_keys == group.key_set, group.field
+        elements = {eng.encode(group.rows(key)) for key in group.index}
+        assert covered | centre_keys == elements, group.field
 
 
 def test_element_orders_walk_count_is_classes_outside_the_centre(monkeypatch) -> None:
@@ -659,7 +663,6 @@ def test_conjugation_places_match_matrix_products() -> None:
         _sl2(9).generators,
     ):
         group = oracle.close_group(gens)
-        eng, index = group.engine, group.index
         conj = [
             (s.inverse(), s, oracle._conjugation_places(group, j))
             for j, s in enumerate(gens)
@@ -667,10 +670,10 @@ def test_conjugation_places_match_matrix_products() -> None:
         for _ in range(200):
             word = [rng.choice(gens) for _ in range(rng.randint(1, 12))]
             x = reduce(operator.mul, word)
-            place = index[eng.encode(x.rows)]
+            place = group.index[group.key(x.rows)]
             for inv, s, places in conj:
                 got = places[place]
-                assert got == index[eng.encode((inv * x * s).rows)], group.field
+                assert got == group.index[group.key((inv * x * s).rows)], group.field
 
 
 def test_closure_tables_are_products_on_a_breadth_first_tree() -> None:
@@ -686,13 +689,14 @@ def test_closure_tables_are_products_on_a_breadth_first_tree() -> None:
         oracle.close_group(oracle._generating_pair("Sp", 4, 3)),
     ):
         eng, index = group.engine, group.index
-        keys = list(index)
+        keys = [eng.encode(group.rows(key)) for key in index]
         assert keys[0] == eng.identity
         assert list(index.values()) == list(range(len(group)))
+        places = {key: place for place, key in enumerate(keys)}
         tabs = [eng.tables(eng.encode(g.rows)) for g in group.generators]
         assert len(group.right) == len(tabs)
         for row, tab in zip(group.right, tabs):
-            assert list(row) == [index[eng.mul(key, tab)] for key in keys]
+            assert list(row) == [places[eng.mul(key, tab)] for key in keys]
         parent, via = group.parent, group.via
         assert len(parent) == len(via) == len(group)
         assert (parent[0], via[0]) == (-1, -1)
@@ -708,10 +712,129 @@ def test_closure_records_generators_past_a_byte() -> None:
     gens = oracle.standard_generators("GOplus", 4, 2)
     padded = [oracle.MatrixGF.identity(gens[0].field, 4)] * 300 + gens
     group = oracle.close_group(padded)
-    assert group.key_set == oracle.close_group(gens).key_set
+    assert group.index.keys() == oracle.close_group(gens).index.keys()
     assert min(group.via[1:]) == 300
     assert max(group.via) == 299 + len(gens)
     assert all(list(row) == list(range(72)) for row in group.right[:300])
+
+
+# sha256 of json.dumps([right as lists, parent, via]) for each generating
+# pair, pinned from the closure that made one engine product per element
+# and generator: a closure that multiplies another way must number the
+# same elements the same way.
+_CLOSURE_DIGESTS = {
+    ("Sp", 4, 3):
+        "c07af31ef67b9530b16c7ddd3fdd8e28d4c15f9c1ccc48c2731f78b888cffd65",
+    ("SU", 4, 2):
+        "12651e9dfd5b3cad61b94a6e60da55a9829bad5bf1e586f49178c0db245f0082",
+    ("Sp", 4, 2):
+        "70d8544748cf2ff4cb3eda6be9339d2bfe821ce3429dcc19ea9f5fc248be1691",
+    ("GOplus", 4, 2):
+        "137a2357ce6d5183c04ec95f7b4db9c75d73ac9713e0f8718042f1356d25c50b",
+}
+
+
+@pytest.mark.parametrize("family, dim, q", sorted(_CLOSURE_DIGESTS))
+def test_closure_tables_are_pinned(family, dim, q) -> None:
+    group = oracle.close_group(oracle._generating_pair(family, dim, q))
+    text = json.dumps(
+        [[list(row) for row in group.right], list(group.parent), list(group.via)]
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _CLOSURE_DIGESTS[family, dim, q]
+
+
+def _row_tables_of(monkeypatch, gens):
+    """The closure's row tables for gens, and its group, caught by stopping
+    the closure at its first new element."""
+    built = []
+    row_tables = oracle._row_tables
+
+    def recording(group):
+        built.append((group, row_tables(group)))
+        return built[-1][1]
+
+    monkeypatch.setattr(oracle, "_row_tables", recording)
+    with pytest.raises(ResourceError):
+        oracle.close_group(gens, cap=1)
+    monkeypatch.undo()
+    ((group, tables),) = built
+    return group, tables
+
+
+def test_row_tables_are_engine_products(monkeypatch) -> None:
+    """Entry v of generator g's table is the index of the row v * g as
+    MatrixGF computes it, over every row v of GF(q)^dim, for the six
+    generating pairs, SL2(5), SL2(9) and SL2(17) (two-byte rows); the byte
+    tables map the unused indices past q^dim, never read, to zero."""
+    pairs = [
+        oracle._generating_pair(*name)
+        for name, words in oracle._PAIR_WORDS.items()
+        if words
+    ]
+    for gens in pairs + [_sl2(q).generators for q in (5, 9, 17)]:
+        group, tables = _row_tables_of(monkeypatch, gens)
+        fld, dim = group.field, group.dim
+        q, vectors = fld.q, fld.q**dim
+        assert len(tables) == len(gens)
+        for g, table in zip(gens, tables):
+            assert len(table) == (256 if vectors <= 256 else vectors), fld
+            assert not any(table[vectors:]), fld
+            for v in range(vectors):
+                row = [v // q**c % q for c in range(dim)]
+                padded = [row] + [[0] * dim] * (dim - 1)
+                image = (oracle.MatrixGF(fld, padded) * g).rows[0]
+                assert table[v] == sum(c * q**i for i, c in enumerate(image)), fld
+
+
+def test_closure_makes_no_product_past_its_row_tables(monkeypatch) -> None:
+    """Each product of the closure is a row lookup: the only _Engine.mul
+    calls are the tables' one per row vector and generator."""
+    muls = 0
+    mul = oracle._Engine.mul
+
+    def counting_mul(self, key, tables):
+        nonlocal muls
+        muls += 1
+        return mul(self, key, tables)
+
+    monkeypatch.setattr(oracle._Engine, "mul", counting_mul)
+    for gens, order in (
+        (oracle._generating_pair("GOplus", 4, 2), 72),
+        (oracle._generating_pair("Sp", 4, 3), 51840),
+        (_sl2(17).generators, 4896),
+    ):
+        muls = 0
+        group = oracle.close_group(gens)
+        assert len(group) == order
+        assert muls == len(gens) * group.field.q**group.dim > 0, order
+
+
+def test_closure_row_space_bound(monkeypatch) -> None:
+    """GF(4)^4, at exactly 256 rows, closes on byte rows; SL2(17), at 289,
+    on two-byte rows with the spectrum of PSL2(17); GF(3)^6 (729 rows of two
+    bytes, six to a key) and GF(257)^2 (past 65536 rows) raise
+    UnsupportedError, exit 3, before any product."""
+    su4_2 = oracle.close_group(oracle._generating_pair("SU", 4, 2))
+    assert (su4_2.row_code, len(su4_2)) == ("B", 25920)
+    sl2_17 = _sl2(17)
+    assert (sl2_17.row_code, len(sl2_17)) == ("H", 17 * 288)
+    centre = oracle.centre_of(sl2_17)
+    assert len(centre) == 2
+    assert oracle.element_orders(sl2_17, centre).gens == (8, 9, 17)
+
+    def no_product(self, key, tables):
+        raise AssertionError("product before the row space bound")
+
+    too_wide = (
+        oracle.standard_generators("Sp", 6, 3),
+        [oracle.MatrixGF(oracle.field_of_order(257), ((1, 1), (0, 1)))],
+    )
+    monkeypatch.setattr(oracle._Engine, "mul", no_product)
+    for gens in too_wide:
+        with pytest.raises(UnsupportedError, match="keys hold 8 bytes") as err:
+            oracle.close_group(gens)
+        assert err.value.exit_code == 3
 
 
 def _order_products(n: int, shifts: int) -> int:
@@ -1075,7 +1198,7 @@ def test_generating_pair_closes_to_the_whole_group(family, dim, q) -> None:
     by_pair = oracle.close_group(pair)
     by_list = oracle.close_group(oracle.standard_generators(family, dim, q))
     assert len(by_pair) == len(by_list) == oracle._matrix_group_order(family, dim, q)
-    assert by_pair.key_set == by_list.key_set
+    assert by_pair.index.keys() == by_list.index.keys()
     centre = oracle.centre_of(by_pair)
     assert centre == oracle.centre_of(by_list)
     assert (
